@@ -179,6 +179,11 @@ impl History {
         for key in keys {
             if let Some(per_key) = self.active.get_mut(&key) {
                 per_key.remove(&(ts, id));
+                // A key nobody is proposing on any more costs nothing: with
+                // ever-fresh keys, empty maps would otherwise pile up.
+                if per_key.is_empty() {
+                    self.active.remove(&key);
+                }
             }
             let executed = self.executed.entry(key).or_default();
             executed.insert((ts, id), ());
@@ -400,6 +405,26 @@ mod tests {
         h.set_status(blocker.id(), CmdStatus::Accepted);
         assert!(h.wait_blockers(&c, ts(5, 0)).is_empty());
         assert!(h.must_reject(&c, ts(5, 0)));
+    }
+
+    #[test]
+    fn mark_executed_leaves_no_empty_active_map() {
+        let mut h = History::new(4);
+        let a = put(0, 1, 7);
+        let b = put(1, 1, 7);
+        let c = put(2, 1, 8);
+        for (cmd, t) in [(&a, 1), (&b, 2), (&c, 3)] {
+            h.update(cmd, ts(t, 0), BTreeSet::new(), CmdStatus::Stable, b0(), false);
+        }
+        h.mark_executed(c.id());
+        h.mark_executed(a.id());
+        // Key 8 has nothing in flight; key 7 still has `b`.
+        assert_eq!(h.active.keys().copied().collect::<Vec<_>>(), vec![7]);
+        h.mark_executed(b.id());
+        assert!(h.active.is_empty(), "every per-key active map emptied and was dropped");
+        // Executed commands still anchor predecessor computation.
+        let pred = h.compute_predecessors(&put(3, 1, 7), ts(9, 3), None);
+        assert_eq!(pred.into_iter().collect::<Vec<_>>(), vec![b.id()]);
     }
 
     #[test]

@@ -25,10 +25,10 @@ enum LeaderPhase {
     FastProposal,
     SlowProposal,
     Retry,
-    Done,
 }
 
-/// State a replica keeps for every command it is currently leading.
+/// State a replica keeps for every command it is currently leading; dropped
+/// once the command is stable (see `CaesarReplica::finish_stable`).
 #[derive(Debug)]
 struct LeaderState {
     cmd: Command,
@@ -290,13 +290,15 @@ impl CaesarReplica {
         ctx: &mut Context<'_, CaesarMessage>,
     ) {
         let now = ctx.now();
-        let Some(state) = self.leading.get_mut(&cmd_id) else { return };
+        // The decision is final: nothing reads the leader state (quorum
+        // replies, their predecessor sets, the command) after this, so it
+        // leaves `leading` here instead of lingering for the replica's life.
+        let Some(mut state) = self.leading.remove(&cmd_id) else { return };
         ctx.trace(TracePhase::QuorumReached, cmd_id);
         match state.phase {
             LeaderPhase::Retry => state.retry_time += now.saturating_sub(state.phase_started_at),
             _ => state.propose_time += now.saturating_sub(state.phase_started_at),
         }
-        state.phase = LeaderPhase::Done;
         let path = if state.from_recovery { DecisionPath::Recovery } else { path };
         match path {
             DecisionPath::Fast => self.metrics.fast_decisions.inc(),
@@ -327,9 +329,9 @@ impl CaesarReplica {
         );
         let msg = CaesarMessage::Stable {
             ballot: state.ballot,
-            cmd: state.cmd.clone(),
+            cmd: state.cmd,
             time: state.time,
-            pred: state.pred.clone(),
+            pred: state.pred,
         };
         ctx.broadcast(msg);
     }
@@ -639,8 +641,10 @@ impl CaesarReplica {
             self.history.mark_executed(id);
             self.metrics.commands_executed.inc();
             let info = self.history.get(id).expect("executed command is in the history");
-            let stable_at = self.stable_seen_at.get(&id).copied().unwrap_or(now);
-            let (proposed_at, path, breakdown) = match self.led.get(&id) {
+            // Executed commands never come back (`on_stable` ignores them),
+            // so their latency bookkeeping is taken out, not copied.
+            let stable_at = self.stable_seen_at.remove(&id).unwrap_or(now);
+            let (proposed_at, path, breakdown) = match self.led.remove(&id) {
                 Some(led) => {
                     let deliver = now.saturating_sub(stable_at);
                     self.metrics.deliver_time_total.add(deliver);
@@ -1240,6 +1244,42 @@ mod tests {
             let order: Vec<CommandId> = sim.decisions(node).iter().map(|d| d.command).collect();
             assert_eq!(order, reference, "order must be identical at {node}");
         }
+    }
+
+    #[test]
+    fn finished_commands_leave_no_leader_or_latency_bookkeeping() {
+        // A fast-quorum timeout between the sites' third and fourth closest
+        // replies makes Mumbai's proposals go slow while the rest can go
+        // fast; 30% of the commands share one key, so NACKs force retries.
+        let config = CaesarConfig::new(5).with_fast_quorum_timeout(100_000);
+        let sim_config =
+            SimConfig::new(LatencyMatrix::ec2_five_sites()).with_seed(11).with_jitter_us(4_000);
+        let mut sim = Simulator::new(sim_config, move |id| CaesarReplica::new(id, config.clone()));
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        for seq in 1..=40u64 {
+            for node in 0..5u32 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let key = if rng % 100 < 30 { 7 } else { 1_000 + seq * 5 + u64::from(node) };
+                let at = seq * 15_000 + u64::from(node) * 2_000 + rng % 4_000;
+                sim.schedule_command(at, NodeId(node), put(node, seq, key));
+            }
+        }
+        sim.run();
+        let (mut fast, mut slow, mut retry) = (0, 0, 0);
+        for node in NodeId::all(5) {
+            let replica = sim.process(node);
+            let m = replica.metrics();
+            fast += m.fast_decisions;
+            slow += m.slow_decisions_proposal;
+            retry += m.slow_decisions_retry;
+            assert_eq!(replica.executed_count(), 200, "{node} executes every command");
+            assert!(replica.leading.is_empty(), "{node} keeps leader state after stability");
+            assert!(replica.led.is_empty(), "{node} keeps led records after execution");
+            assert!(replica.stable_seen_at.is_empty(), "{node} keeps stable times after execution");
+        }
+        assert!(fast > 0 && slow > 0 && retry > 0, "paths: fast {fast} slow {slow} retry {retry}");
     }
 
     #[test]

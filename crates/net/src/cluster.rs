@@ -53,8 +53,8 @@ pub struct NetConfig {
     /// implementation by default). A restarted replica gets a **fresh**
     /// machine from this factory and fills it through snapshot catch-up.
     pub state_machine: StateMachineFactory,
-    /// Per-replica checkpoint cadence (applied commands between snapshot
-    /// cuts); see `NetReplicaConfig::checkpoint_interval`.
+    /// Per-replica minimum checkpoint cadence (applied units between
+    /// snapshot cuts); see `NetReplicaConfig::checkpoint_interval`.
     pub checkpoint_interval: u64,
     /// How long a restarted replica waits for a complete snapshot transfer
     /// before serving with empty state.
@@ -177,7 +177,8 @@ impl NetConfig {
         self
     }
 
-    /// Sets the checkpoint cadence (applied commands between snapshot cuts).
+    /// Sets the minimum checkpoint cadence (applied units between snapshot
+    /// cuts; large states also wait for the suffix to catch up in bytes).
     #[must_use]
     pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
         self.checkpoint_interval = interval;
@@ -264,8 +265,8 @@ where
         for replica in &mut replicas {
             replica.start(addrs.clone());
         }
-        // Phase 3: one client connection per replica; subscribe first so no
-        // decision event can precede registration.
+        // Phase 3: one client connection per replica, subscribed before
+        // `start` returns so no decision can precede registration.
         let decisions: Arc<Mutex<HashMap<NodeId, Vec<Decision>>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let session = SessionCore::new(config.max_in_flight);
@@ -273,11 +274,9 @@ where
         let down = Arc::new((0..config.nodes).map(|_| AtomicBool::new(false)).collect::<Vec<_>>());
         let mut links = Vec::with_capacity(config.nodes);
         let mut readers = Vec::with_capacity(config.nodes);
-        for (index, &addr) in addrs.iter().enumerate() {
+        for (index, replica) in replicas.iter().enumerate() {
             let node = NodeId::from_index(index);
-            let mut writer = TcpStream::connect(addr)?;
-            writer.set_nodelay(true)?;
-            send_msg(&mut writer, &WireMessage::<P::Message>::Subscribe)?;
+            let writer = subscribe(replica)?;
             let read_half = writer.try_clone()?;
             let sink = Arc::clone(&decisions);
             let stop = Arc::clone(&reader_stop);
@@ -421,15 +420,10 @@ where
         replica_config.catch_up = true;
         let mut replica = NetReplica::spawn(replica_config, process)?;
 
-        // Fresh client connection + subscription, established **before** the
+        // Fresh client connection + subscription, registered **before** the
         // core loop starts: the restore's synthesized decision batch is
-        // published the moment a snapshot transfer completes, and the
-        // subscription must already be registered by then (the event loop
-        // has been accepting since `spawn`; the transfer cannot finish
-        // before the core loop even begins requesting it).
-        let mut writer = connect_with_retry(addrs[index], Duration::from_secs(5))?;
-        writer.set_nodelay(true)?;
-        send_msg(&mut writer, &WireMessage::<P::Message>::Subscribe)?;
+        // published the moment a snapshot transfer completes.
+        let writer = subscribe(&replica)?;
         replica.start(addrs.clone());
         self.replicas[index] = replica;
 
@@ -505,15 +499,8 @@ where
             fresh.push(NetReplica::spawn(replica_config, make(node))?);
         }
         // Subscribe before starting each core loop: disk recovery publishes
-        // its synthesized decision batch immediately, and the subscription
-        // must already be registered (the event loops accept since spawn).
-        let mut writers = Vec::with_capacity(addrs.len());
-        for &addr in &addrs {
-            let mut writer = connect_with_retry(addr, Duration::from_secs(5))?;
-            writer.set_nodelay(true)?;
-            send_msg(&mut writer, &WireMessage::<P::Message>::Subscribe)?;
-            writers.push(writer);
-        }
+        // its synthesized decision batch immediately.
+        let writers = fresh.iter().map(subscribe).collect::<io::Result<Vec<_>>>()?;
         for replica in &mut fresh {
             replica.start(addrs.clone());
         }
@@ -688,6 +675,33 @@ where
             Arc::new(ParkDrive),
         )
     }
+}
+
+/// Opens a client connection to `replica` and subscribes it to the decision
+/// stream, returning only once the replica's event loop has registered the
+/// subscription. A replica publishes decisions only while it has
+/// subscribers, so a command executed before registration would never
+/// reach the stream and a waiter on it would time out.
+fn subscribe<P>(replica: &NetReplica<P>) -> io::Result<TcpStream>
+where
+    P: Process + Send + 'static,
+    P::Message: serde::Serialize + serde::Deserialize + Send + 'static,
+{
+    let mut writer = connect_with_retry(replica.local_addr(), Duration::from_secs(5))?;
+    writer.set_nodelay(true)?;
+    let before = replica.subscribers();
+    send_msg(&mut writer, &WireMessage::<P::Message>::Subscribe)?;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while replica.subscribers() <= before {
+        if Instant::now() >= deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "replica did not register the decision subscription",
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    Ok(writer)
 }
 
 /// Dials `addr` until it accepts or `timeout` elapses (a restarted replica's

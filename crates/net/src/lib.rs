@@ -32,8 +32,10 @@
 //! Each replica executes decided commands against a pluggable
 //! [`consensus_core::StateMachine`] (the `kvstore` reference implementation
 //! unless [`NetConfig::with_state_machine`] installs another), checkpoints
-//! it every `checkpoint_interval` commands, and retains the decided suffix
-//! since. That powers **snapshot-based state transfer**: a replica
+//! it at least `checkpoint_interval` units apart (and, once the checkpoint
+//! outgrows one snapshot chunk, only after the suffix has logged about as
+//! many bytes as it holds), and retains the decided suffix since. That
+//! powers **snapshot-based state transfer**: a replica
 //! restarted via [`NetCluster::restart_replica`] comes back empty,
 //! broadcasts [`WireMessage::SnapshotRequest`], installs the first complete
 //! [`WireMessage::SnapshotChunk`] transfer (checkpoint + suffix replay +

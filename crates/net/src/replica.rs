@@ -32,11 +32,16 @@
 //!
 //! # Snapshot-based state transfer
 //!
-//! The core loop checkpoints its state machine every
-//! [`NetReplicaConfig::checkpoint_interval`] applied commands — snapshot
-//! bytes, the floor-compacted `AppliedSummary` of the ids it covers, and
-//! the protocol's `ExecutionCursor` at cut time — and retains the commands
-//! applied since in a suffix log. A replica started with
+//! The core loop checkpoints its state machine — snapshot bytes, the
+//! floor-compacted `AppliedSummary` of the ids it covers, and the
+//! protocol's `ExecutionCursor` at cut time — and retains the units applied
+//! since in a suffix log. Cuts are at least
+//! [`NetReplicaConfig::checkpoint_interval`] units apart; once the last
+//! checkpoint outgrows one snapshot chunk, a cut also waits until the
+//! suffix has logged as many encoded bytes as that checkpoint held (capped
+//! so the suffix always fits one frame). Checkpoint cost thus tracks logged
+//! work, not state size, and recovery replays at most about one
+//! checkpoint's worth of suffix. A replica started with
 //! [`NetReplicaConfig::catch_up`] — which is how
 //! `NetCluster::restart_replica` brings a crashed node back — begins in
 //! a *restoring* state: it broadcasts [`WireMessage::SnapshotRequest`] to
@@ -98,13 +103,31 @@ use telemetry::{Counter, Registry, SpanEvent, TracePhase};
 use wal::{FsyncPolicy, Recovery, Wal, WalConfig};
 
 use crate::event_loop::{EventLoop, IoCmd, IoQueue};
-use crate::wire::{frame_bytes, Event, WireMessage};
+use crate::wire::{frame_bytes, Event, WireMessage, MAX_FRAME_LEN};
 
 /// Bytes of transfer payload per [`WireMessage::SnapshotChunk`] frame.
 /// Bounded so a large state machine never produces one giant frame that
 /// monopolizes the donor's write buffer (and so transfers interleave with
 /// protocol traffic).
 const SNAPSHOT_CHUNK: usize = 256 * 1024;
+
+/// Suffix bytes past which a checkpoint is due however large the state is:
+/// a quarter of [`MAX_FRAME_LEN`], so the suffix riding on the last
+/// [`WireMessage::SnapshotChunk`] (beside at most one chunk of payload)
+/// always fits in one frame.
+const SUFFIX_CAP: u64 = MAX_FRAME_LEN as u64 / 4;
+
+/// Whether the core loop cuts a checkpoint now, given the suffix logged
+/// since the last cut (`units`, encoded `bytes`) and that cut's payload
+/// length. At least `interval` units must separate cuts. Past that, a
+/// payload under one [`SNAPSHOT_CHUNK`] is cut at once, so small states
+/// keep the plain unit cadence; a larger one waits until the suffix has
+/// logged as many bytes as the payload holds (at most [`SUFFIX_CAP`]), so
+/// a cut never writes much more than the work it retires.
+fn checkpoint_due(units: usize, bytes: u64, interval: u64, last_payload: usize) -> bool {
+    units as u64 >= interval
+        && (last_payload < SNAPSHOT_CHUNK || bytes >= (last_payload as u64).min(SUFFIX_CAP))
+}
 
 /// Emulates a WAN latency matrix on a fast local network by delaying each
 /// outbound frame until `one_way(src, dst) × scale` has elapsed since it was
@@ -156,9 +179,13 @@ pub struct NetReplicaConfig {
     /// Builds this replica's state machine (the `kvstore` reference
     /// implementation by default).
     pub state_machine: StateMachineFactory,
-    /// Cut a state-machine checkpoint (snapshot + watermark) every this
-    /// many applied commands; the commands since the checkpoint form the
-    /// replayable suffix served to catching-up peers.
+    /// Minimum number of applied consensus units between two state-machine
+    /// checkpoints (snapshot + watermark); the units since the checkpoint
+    /// form the replayable suffix served to catching-up peers. States under
+    /// one snapshot chunk (256 KiB) are cut at exactly this cadence; larger
+    /// ones also wait until the suffix has logged as many bytes as the last
+    /// checkpoint held (capped at a quarter of the wire's frame limit), so
+    /// checkpoint cost tracks logged work rather than state size.
     pub checkpoint_interval: u64,
     /// Start in the *restoring* state: request a snapshot from the peers
     /// and only serve once restored (or once `catch_up_timeout` passes).
@@ -265,7 +292,9 @@ pub struct NetReplicaStats {
     /// Snapshot payload bytes chunked out across all donations.
     pub snapshot_bytes_sent: Counter,
     /// Catch-up transfers this replica completed (snapshot restored and
-    /// suffix replayed).
+    /// suffix replayed). Counted before the restored state is installed, so
+    /// whoever observes the restored watermark or fingerprint also
+    /// observes this count.
     pub catch_ups_completed: Counter,
     /// Commands replayed from donors' decided suffixes during catch-up.
     pub catch_up_replayed: Counter,
@@ -287,6 +316,29 @@ impl NetReplicaStats {
             snapshot_bytes_sent: registry.counter("net.snapshot_bytes_sent"),
             catch_ups_completed: registry.counter("net.catch_ups_completed"),
             catch_up_replayed: registry.counter("net.catch_up_replayed"),
+        }
+    }
+}
+
+/// Write-ahead-log failures the core loop survives: each is printed to
+/// stderr, counted here under `wal.errors.*`, and the replica keeps
+/// serving (a memory-only replica's counters stay at zero).
+struct WalErrors {
+    /// A decided unit could not be staged.
+    append: Counter,
+    /// A cursor mark or the commit (fsync) closing an apply batch failed.
+    commit: Counter,
+    /// A checkpoint record could not be written, or the one recovered at
+    /// startup could not be decoded or restored.
+    checkpoint: Counter,
+}
+
+impl WalErrors {
+    fn register(registry: &Registry) -> Self {
+        Self {
+            append: registry.counter("wal.errors.append"),
+            commit: registry.counter("wal.errors.commit"),
+            checkpoint: registry.counter("wal.errors.checkpoint"),
         }
     }
 }
@@ -438,6 +490,11 @@ where
         self.executor.mode()
     }
 
+    /// Decision-stream subscribers the event loop has registered so far.
+    pub(crate) fn subscribers(&self) -> usize {
+        self.subscriber_count.load(Ordering::Relaxed)
+    }
+
     /// Number of OS threads this replica runs. Constant — event loop plus
     /// core loop — independent of how many peers or clients are connected.
     #[must_use]
@@ -499,6 +556,7 @@ where
             checkpoint: None,
             checkpoint_interval: self.config.checkpoint_interval.max(1),
             suffix_log: Vec::new(),
+            suffix_bytes: 0,
             restore: if self.config.catch_up && self.config.nodes > 1 {
                 Some(RestoreState {
                     deadline: Instant::now() + self.config.catch_up_timeout,
@@ -522,6 +580,7 @@ where
             reply_wanted: HashSet::new(),
             subscribers: Arc::clone(&self.subscriber_count),
             wal,
+            wal_errors: WalErrors::register(&self.registry),
             disk_recovery,
         };
         self.threads.push(std::thread::spawn(move || core.run()));
@@ -677,12 +736,16 @@ struct CoreLoop<P: Process> {
     batch_commands: Counter,
     /// The latest snapshot cut, served to catching-up peers.
     checkpoint: Option<Checkpoint>,
-    /// Cut a new checkpoint every this many applied commands.
+    /// Minimum units between checkpoint cuts (see [`checkpoint_due`]).
     checkpoint_interval: u64,
-    /// Commands applied since the checkpoint, in execution order — the
+    /// Units applied since the checkpoint, in execution order — the
     /// replayable suffix a donor sends alongside its snapshot. Cleared on
-    /// every checkpoint cut, so its length is bounded by the interval.
+    /// every checkpoint cut, so it holds at most `checkpoint_interval`
+    /// units or about as many encoded bytes as the checkpoint payload
+    /// (never more than [`SUFFIX_CAP`]), whichever is larger.
     suffix_log: Vec<Command>,
+    /// Encoded size of `suffix_log`, in bytes.
+    suffix_bytes: u64,
     /// `Some` while this replica is catching up from a peer snapshot.
     restore: Option<RestoreState>,
     /// Every *command* id this replica has applied (batch units count one
@@ -722,6 +785,7 @@ struct CoreLoop<P: Process> {
     /// closes each apply batch, and checkpoints become durable records that
     /// rotate and compact the segment files.
     wal: Option<Wal>,
+    wal_errors: WalErrors,
     /// What the log's startup scan recovered; replayed once, before the
     /// first mailbox message, then `None` forever.
     disk_recovery: Option<Recovery>,
@@ -1070,6 +1134,7 @@ where
         if let Some(wal) = &mut self.wal {
             for unit in &units {
                 if let Err(err) = wal.append_command(unit) {
+                    self.wal_errors.append.inc();
                     eprintln!("replica {} wal append failed: {err}", self.id);
                 }
             }
@@ -1100,6 +1165,7 @@ where
                     }
                 }
             }
+            self.suffix_bytes += bincode::serialized_size(&unit).expect("unit encodes");
             self.suffix_log.push(unit);
             batch.push(execution.decision);
         }
@@ -1122,6 +1188,7 @@ where
                 wal.append_cursor(&cursor).and_then(|()| wal.commit())
             };
             if let Err(err) = result {
+                self.wal_errors.commit.inc();
                 eprintln!("replica {} wal commit failed: {err}", self.id);
             }
         }
@@ -1132,7 +1199,13 @@ where
             }
         }
         self.io.push_many(cmds);
-        if self.suffix_log.len() as u64 >= self.checkpoint_interval {
+        let last_payload = self.checkpoint.as_ref().map_or(0, |cut| cut.payload.len());
+        if checkpoint_due(
+            self.suffix_log.len(),
+            self.suffix_bytes,
+            self.checkpoint_interval,
+            last_payload,
+        ) {
             self.cut_checkpoint();
         }
     }
@@ -1189,10 +1262,12 @@ where
                 // change or writer bug, not disk damage; starting empty
                 // (and falling back to snapshot transfer if catch_up is
                 // set) beats serving half-restored state.
+                self.wal_errors.checkpoint.inc();
                 eprintln!("replica {} wal checkpoint undecodable; starting empty", self.id);
                 return;
             };
             if self.executor.restore(&snapshot).is_err() {
+                self.wal_errors.checkpoint.inc();
                 eprintln!(
                     "replica {} wal checkpoint rejected by state machine; starting empty",
                     self.id
@@ -1234,7 +1309,6 @@ where
         // The recovered state is the new baseline: cutting a checkpoint
         // writes it as one durable record and compacts away every segment
         // the scan just replayed.
-        self.suffix_log.clear();
         self.cut_checkpoint();
     }
 
@@ -1275,11 +1349,13 @@ where
         // machine even when the bytes arrived over the wire.
         if let Some(wal) = &mut self.wal {
             if let Err(err) = wal.append_checkpoint(applied_through, &payload) {
+                self.wal_errors.checkpoint.inc();
                 eprintln!("replica {} wal checkpoint failed: {err}", self.id);
             }
         }
         self.checkpoint = Some(Checkpoint { applied_through, payload: Arc::new(payload) });
         self.suffix_log.clear();
+        self.suffix_bytes = 0;
     }
 
     /// Broadcasts a [`WireMessage::SnapshotRequest`] to every peer. The
@@ -1332,10 +1408,10 @@ where
             let start = seq as usize * SNAPSHOT_CHUNK;
             let end = (start + SNAPSHOT_CHUNK).min(bytes.len());
             let last = seq + 1 == total;
-            // The last chunk's suffix is bounded by the checkpoint interval,
-            // but the cursor's decided backlog is not (a Mencius donor
-            // stalled on the crashed node's slot gap accumulates one entry
-            // per downtime commit). If the frame would exceed the wire's
+            // The last chunk's suffix is bounded by the cut rule (see
+            // `SUFFIX_CAP`), but the cursor's decided backlog is not (a
+            // Mencius donor stalled on the crashed node's slot gap
+            // accumulates one entry per downtime commit). If the frame would exceed the wire's
             // cap, shed backlog from the tail until it fits — the receiver
             // executes in slot order, so a truncated tail degrades to the
             // down-queue redelivery path instead of an invisible, silently
@@ -1458,11 +1534,21 @@ where
             self.restore = Some(restore);
             return;
         };
-        if self.executor.restore(&snapshot).is_err() {
+        let Ok(prepared) = self.executor.prepare_restore(&snapshot) else {
             self.restore = Some(restore);
             return;
-        }
-        self.executor.apply_round(&donor.suffix);
+        };
+        // Nothing below can fail: publish "restore complete" before the
+        // restored watermark and fingerprint become visible, so an observer
+        // that sees the caught-up state also sees the completed catch-up.
+        // The counter is a relaxed atomic; the executor's machine locks
+        // order it (released by `install`, acquired by every watermark or
+        // fingerprint read). `install` replays the suffix before the swap,
+        // so observers never see the bare snapshot, whose watermark can
+        // sit behind what disk recovery already reached.
+        self.stats.catch_ups_completed.inc();
+        self.stats.catch_up_replayed.add(donor.suffix.len() as u64);
+        self.executor.install(prepared, &donor.suffix);
         let watermark = self.executor.applied_through();
         // The restored watermark must land exactly where the transfer
         // claims (snapshot coverage + replayed suffix) — and, like every
@@ -1505,11 +1591,8 @@ where
             self.process.on_state_transfer(&transfer, &mut ctx);
         }
         self.publish_transfer_decisions(&transfer);
-        self.stats.catch_up_replayed.add(donor.suffix.len() as u64);
-        self.stats.catch_ups_completed.inc();
         // The restored state is this replica's new baseline: checkpoint it
         // so it can donate in turn, then catch up on local executions.
-        self.suffix_log.clear();
         self.cut_checkpoint();
         let mut pending = std::mem::take(&mut restore.pending);
         self.apply_executions(&mut pending);
@@ -1565,5 +1648,59 @@ where
             let mut pending = std::mem::take(&mut restore.pending);
             self.apply_executions(&mut pending);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use consensus_types::BATCH_LANE;
+
+    use super::*;
+    use crate::wire::FRAME_HEADER_LEN;
+
+    #[test]
+    fn small_payload_cuts_on_the_unit_interval() {
+        // No checkpoint yet, or one under a chunk: the interval alone rules.
+        for payload in [0, 4_096, SNAPSHOT_CHUNK - 1] {
+            assert!(!checkpoint_due(63, 0, 64, payload));
+            assert!(checkpoint_due(64, 1, 64, payload));
+        }
+    }
+
+    #[test]
+    fn large_payload_waits_for_suffix_bytes() {
+        let payload = 4 * SNAPSHOT_CHUNK;
+        assert!(!checkpoint_due(64, 0, 64, payload));
+        assert!(!checkpoint_due(100_000, payload as u64 - 1, 64, payload));
+        assert!(checkpoint_due(100_000, payload as u64, 64, payload));
+        // The interval still separates cuts, however many bytes piled up.
+        assert!(!checkpoint_due(63, 10 * payload as u64, 64, payload));
+    }
+
+    #[test]
+    fn capped_suffix_plus_one_chunk_fits_one_frame() {
+        // However large the state, the cap bounds the suffix.
+        let payload = 2 * MAX_FRAME_LEN as usize;
+        assert!(!checkpoint_due(1_000_000, SUFFIX_CAP - 1, 64, payload));
+        assert!(checkpoint_due(1_000_000, SUFFIX_CAP, 64, payload));
+        // The check runs after every apply round, so a donated suffix holds
+        // at most the cap plus one round; model the round as a full batch.
+        let unit = Command::batch(
+            CommandId::new(NodeId(0), BATCH_LANE | 1),
+            (0..64).map(|seq| Command::put(CommandId::new(NodeId(1), seq), seq, seq)).collect(),
+        );
+        let unit_bytes = bincode::serialized_size(&unit).expect("unit encodes");
+        let suffix = vec![unit; (SUFFIX_CAP / unit_bytes + 2) as usize];
+        let last_chunk = WireMessage::<()>::SnapshotChunk {
+            from: NodeId(0),
+            applied_through: u64::MAX,
+            seq: 0,
+            total: 1,
+            bytes: vec![0xA5; SNAPSHOT_CHUNK],
+            suffix,
+            cursor: ExecutionCursor::Ids,
+        };
+        let frame = frame_bytes(&last_chunk).expect("capped suffix plus one chunk fits a frame");
+        assert!(frame.len() - FRAME_HEADER_LEN <= MAX_FRAME_LEN as usize);
     }
 }

@@ -25,7 +25,7 @@
 //! serial replica that applied the same commands.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use consensus_types::{Command, NodeId};
@@ -70,6 +70,10 @@ enum Inner {
     /// thread; rounds fan leaf commands out by [`shard_of_key`].
     Sharded { shards: Vec<Arc<Mutex<Box<dyn StateMachine>>>>, workers: Vec<Worker> },
 }
+
+/// A snapshot decoded by [`Executor::prepare_restore`] (one machine per
+/// shard), waiting for [`Executor::install`].
+pub struct PreparedRestore(Vec<Box<dyn StateMachine>>);
 
 /// Applies decided command units to replica state, in parallel where the
 /// conflict relation allows it.
@@ -214,7 +218,7 @@ impl Executor {
         match &self.inner {
             Inner::Serial(machine) => machine.lock().expect("lock").applied_through(),
             Inner::Sharded { shards, .. } => {
-                shards.iter().map(|s| s.lock().expect("lock").applied_through()).sum()
+                lock_all(shards).iter().map(|machine| machine.applied_through()).sum()
             }
         }
     }
@@ -226,7 +230,7 @@ impl Executor {
         match &self.inner {
             Inner::Serial(machine) => machine.lock().expect("lock").fingerprint(),
             Inner::Sharded { shards, .. } => {
-                shards.iter().fold(0, |acc, s| acc ^ s.lock().expect("lock").fingerprint())
+                lock_all(shards).iter().fold(0, |acc, machine| acc ^ machine.fingerprint())
             }
         }
     }
@@ -251,20 +255,57 @@ impl Executor {
     /// Replaces the entire state from a canonical snapshot (produced by any
     /// replica, sharded or serial), redistributing entries across shards.
     pub fn restore(&self, snapshot: &[u8]) -> Result<(), RestoreError> {
+        self.install(self.prepare_restore(snapshot)?, &[]);
+        Ok(())
+    }
+
+    /// First half of [`Executor::restore`]: decodes `snapshot` into fresh
+    /// machines, one per shard, without touching the live state. A caller
+    /// that publishes "restore complete" elsewhere does so between this and
+    /// [`Executor::install`], so no reader sees the restored watermark or
+    /// fingerprint before that signal.
+    pub fn prepare_restore(&self, snapshot: &[u8]) -> Result<PreparedRestore, RestoreError> {
+        let mut whole = (self.factory)(self.node);
+        whole.restore(snapshot)?;
+        let Inner::Sharded { shards, .. } = &self.inner else {
+            return Ok(PreparedRestore(vec![whole]));
+        };
+        let parts = whole
+            .split_snapshot(shards.len())
+            .ok_or_else(|| RestoreError::new("machine stopped being partitionable"))?;
+        let machines = parts
+            .iter()
+            .map(|part| {
+                let mut fresh = (self.factory)(self.node);
+                fresh.restore(part)?;
+                Ok(fresh)
+            })
+            .collect::<Result<_, RestoreError>>()?;
+        Ok(PreparedRestore(machines))
+    }
+
+    /// Second half of [`Executor::restore`]: applies `suffix` (units decided
+    /// after the snapshot, in delivery order) to the prepared machines, then
+    /// swaps them in. Readers see the old state or snapshot plus suffix,
+    /// never the bare snapshot, which may sit behind the old watermark.
+    pub fn install(&self, mut prepared: PreparedRestore, suffix: &[Command]) {
+        if !suffix.is_empty() {
+            self.rounds.inc();
+        }
+        let shards = prepared.0.len();
+        for leaf in suffix.iter().flat_map(Command::leaves) {
+            self.leaves.inc();
+            prepared.0[shard_of_key(leaf.key(), shards)].apply(leaf);
+        }
+        let mut machines = prepared.0.into_iter();
         match &self.inner {
-            Inner::Serial(machine) => machine.lock().expect("lock").restore(snapshot),
+            Inner::Serial(machine) => {
+                *machine.lock().expect("lock") = machines.next().expect("one serial machine");
+            }
             Inner::Sharded { shards, .. } => {
-                let mut whole = (self.factory)(self.node);
-                whole.restore(snapshot)?;
-                let parts = whole
-                    .split_snapshot(shards.len())
-                    .ok_or_else(|| RestoreError::new("machine stopped being partitionable"))?;
-                for (shard, part) in shards.iter().zip(&parts) {
-                    let mut fresh = (self.factory)(self.node);
-                    fresh.restore(part)?;
-                    *shard.lock().expect("lock") = fresh;
+                for (machine, fresh) in lock_all(shards).iter_mut().zip(machines) {
+                    **machine = fresh;
                 }
-                Ok(())
             }
         }
     }
@@ -302,6 +343,16 @@ impl Drop for Executor {
             }
         }
     }
+}
+
+/// Locks every shard in index order. Whole-state reads and the restore swap
+/// take all the locks, so a reader never sums or XORs shards from both
+/// sides of a restore; workers hold one lock at a time, so the fixed order
+/// cannot deadlock.
+fn lock_all(
+    shards: &[Arc<Mutex<Box<dyn StateMachine>>>],
+) -> Vec<MutexGuard<'_, Box<dyn StateMachine>>> {
+    shards.iter().map(|shard| shard.lock().expect("shard lock")).collect()
 }
 
 fn worker_loop(shard: &Mutex<Box<dyn StateMachine>>, jobs: &Receiver<Job>) {

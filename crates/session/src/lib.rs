@@ -46,7 +46,7 @@ pub mod session;
 pub mod state_machine;
 
 pub use batch::{BatchConfig, Batcher};
-pub use exec::{shard_of_key, Executor};
+pub use exec::{shard_of_key, Executor, PreparedRestore};
 pub use session::{
     ClientHandle, ClusterHandle, Drive, Op, ParkDrive, Reply, SessionCore, SessionError,
     SubmitTransport, Ticket, Waiter, DEFAULT_IN_FLIGHT,

@@ -398,6 +398,12 @@ where
             .wait_timeout(Duration::from_secs(30))
             .unwrap_or_else(|err| panic!("[{label}] pre-crash write: {err:?}"));
     }
+    // The replies come from the survivor; the replica about to crash may
+    // still be applying the tail. Wait for the whole prefix (20 commands,
+    // checkpoints every 8) so its log ends in a non-empty suffix.
+    let prefix = pre_crash_commands().len() as u64;
+    let crash_applied = cluster.wait_for_applied(CRASH, prefix, Duration::from_secs(30));
+    assert_eq!(crash_applied, prefix, "[{label}] {CRASH} applies the pre-crash prefix");
 
     // Phase 1: hybrid recovery. The crashed replica's log holds the
     // pre-crash prefix; the downtime traffic only exists at the donors.

@@ -72,6 +72,7 @@ check_sym "$doc" StateTransfer 'pub struct StateTransfer' crates/types/src/trans
 check_sym "$doc" AppliedSummary 'pub struct AppliedSummary' crates/types/src/transfer.rs
 check_sym "$doc" ExecutionCursor 'pub enum ExecutionCursor' crates/types/src/transfer.rs
 check_sym "$doc" checkpoint_interval 'checkpoint_interval' crates/net/src/replica.rs
+check_sym "$doc" checkpoint_due 'fn checkpoint_due' crates/net/src/replica.rs
 check_sym "$doc" catch_up_timeout 'catch_up_timeout' crates/net/src/replica.rs
 check_sym "$doc" restart_replica 'fn restart_replica' crates/net/src/cluster.rs
 check_sym "$doc" wait_for_applied 'fn wait_for_applied' crates/net/src/cluster.rs
@@ -111,6 +112,7 @@ check_sym "$doc" WireMessage::StatsRequest 'StatsRequest' crates/net/src/wire.rs
 check_sym "$doc" Event::StatsReply 'StatsReply' crates/net/src/wire.rs
 check_sym "$doc" scrape_stats 'pub fn scrape_stats' crates/net/src/client.rs
 check_sym "$doc" fetch_stats 'pub fn fetch_stats' crates/net/src/client.rs
+check_sym "$doc" wal.errors 'wal\.errors\.checkpoint' crates/net/src/replica.rs
 check_sym "$doc" consensus_node--stats '"--stats"' src/bin/consensus_node.rs
 
 doc=docs/THROUGHPUT.md

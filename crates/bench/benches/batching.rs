@@ -1,11 +1,11 @@
-//! Proposer batching + parallel execution — the throughput experiment.
+//! Proposer batching — the throughput experiment.
 //!
 //! A 3-node loopback `net` cluster serves 64, 512 and 4096 *virtual
 //! clients* (concurrent in-flight commands through cloned session
 //! handles), once with the proposer batcher disabled (the seed behaviour:
 //! one consensus instance per command) and once with batching enabled
-//! (`max_batch = 64`) plus a 4-way sharded executor. Per protocol and
-//! point we record ops/s and client-observed avg/p99 latency.
+//! (`max_batch = 64`). Per protocol and point we record ops/s and
+//! client-observed avg/p99 latency.
 //!
 //! The headline the numbers must show: with batching, throughput *rises*
 //! with concurrency (more co-queued commands → bigger batches → fewer
@@ -132,7 +132,7 @@ where
 {
     let mut config = NetConfig::new(NODES).with_max_in_flight(2 * clients.max(64));
     if batching {
-        config = config.with_batch(batch_for(clients)).with_exec_workers(4);
+        config = config.with_batch(batch_for(clients));
     }
     let cluster = NetCluster::start(config, make).expect("cluster starts");
     let (ops, throughput, avg_ms, p99_ms) = drive(&cluster, clients);
@@ -150,7 +150,7 @@ fn measure_group_commit(batching: bool) -> GroupCommitPoint {
         .with_data_dir(tmp.path())
         .with_fsync(FsyncPolicy::PerBatch);
     if batching {
-        config = config.with_batch(MAX_BATCH).with_exec_workers(4);
+        config = config.with_batch(MAX_BATCH);
     }
     let cluster = NetCluster::start(config, move |id| CaesarReplica::new(id, caesar.clone()))
         .expect("cluster starts");
@@ -190,7 +190,6 @@ fn write_json(points: &[Point], group_commit: &[GroupCommitPoint]) {
     let json = format!(
         "{{\n  \"bench\": \"batching\",\n  \"runtime\": \"net (epoll reactor)\",\n  \
          \"nodes\": {NODES},\n  \"max_batch_policy\": \"max({MAX_BATCH}, clients/8)\",\n  \
-         \"exec_workers\": 4,\n  \
          \"results\": [\n{}\n  ],\n  \"fsync_group_commit\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
         gc_rows.join(",\n")
@@ -253,7 +252,7 @@ fn benchmark(c: &mut Criterion) {
     }
 
     let mut table = Table::new(
-        "Proposer batching: virtual clients vs. throughput (batch max(64, n/8), 4 exec workers)",
+        "Proposer batching: virtual clients vs. throughput (batch max(64, n/8))",
         &["protocol", "clients", "batching", "ops", "throughput (op/s)", "avg (ms)", "p99 (ms)"],
     );
     for p in &points {
@@ -310,10 +309,7 @@ fn benchmark(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("caesar_512_clients_batched", |b| {
         let config = CaesarConfig::new(NODES).with_recovery_timeout(None);
-        let net_config = NetConfig::new(NODES)
-            .with_max_in_flight(1_024)
-            .with_batch(MAX_BATCH)
-            .with_exec_workers(4);
+        let net_config = NetConfig::new(NODES).with_max_in_flight(1_024).with_batch(MAX_BATCH);
         let cluster =
             NetCluster::start(net_config, move |id| CaesarReplica::new(id, config.clone()))
                 .expect("cluster starts");

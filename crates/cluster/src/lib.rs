@@ -70,13 +70,6 @@ pub struct ClusterConfig {
     /// coalesce into one consensus unit. Disabled by default so existing
     /// tests observe one instance per command.
     pub batch: BatchConfig,
-    /// Execution workers per replica. `1` (the default) applies commands
-    /// serially on the replica thread; `>= 2` shards partitionable state
-    /// machines so non-conflicting commands apply in parallel.
-    pub exec_workers: usize,
-    /// Per-node override of [`ClusterConfig::exec_workers`], for clusters
-    /// that mix serial and sharded replicas (parity tests rely on this).
-    pub exec_workers_per_node: Option<Vec<usize>>,
 }
 
 impl std::fmt::Debug for ClusterConfig {
@@ -86,7 +79,6 @@ impl std::fmt::Debug for ClusterConfig {
             .field("latency_scale", &self.latency_scale)
             .field("max_in_flight", &self.max_in_flight)
             .field("batch", &self.batch)
-            .field("exec_workers", &self.exec_workers)
             .finish_non_exhaustive()
     }
 }
@@ -101,8 +93,6 @@ impl ClusterConfig {
             max_in_flight: DEFAULT_IN_FLIGHT,
             state_machine: KvStore::factory(),
             batch: BatchConfig::disabled(),
-            exec_workers: 1,
-            exec_workers_per_node: None,
         }
     }
 
@@ -111,29 +101,6 @@ impl ClusterConfig {
     pub fn with_batch(mut self, max_batch: usize) -> Self {
         self.batch = BatchConfig { max_batch: max_batch.max(1), ..BatchConfig::default() };
         self
-    }
-
-    /// Sets the number of execution workers per replica.
-    #[must_use]
-    pub fn with_exec_workers(mut self, workers: usize) -> Self {
-        self.exec_workers = workers.max(1);
-        self
-    }
-
-    /// Overrides the worker count per node (missing entries fall back to
-    /// [`ClusterConfig::exec_workers`]).
-    #[must_use]
-    pub fn with_exec_workers_per_node(mut self, workers: Vec<usize>) -> Self {
-        self.exec_workers_per_node = Some(workers);
-        self
-    }
-
-    fn exec_workers_for(&self, index: usize) -> usize {
-        self.exec_workers_per_node
-            .as_ref()
-            .and_then(|w| w.get(index).copied())
-            .unwrap_or(self.exec_workers)
-            .max(1)
     }
 
     /// Sets the latency scale factor.
@@ -170,9 +137,8 @@ pub struct Cluster<P: Process> {
     senders: Arc<Vec<Sender<Envelope<P::Message>>>>,
     handles: Vec<JoinHandle<()>>,
     decisions: Arc<Mutex<HashMap<NodeId, Vec<Decision>>>>,
-    /// One executor per replica (serial or sharded over the replica's state
-    /// machine), shared with its replica thread so callers can inspect
-    /// fingerprints/watermarks.
+    /// One executor per replica, shared with its replica thread so callers
+    /// can inspect fingerprints/watermarks.
     executors: Arc<Vec<Executor>>,
     /// Each replica's telemetry registry (`None` for processes that do not
     /// expose one), captured before the process moved into its thread.
@@ -208,12 +174,7 @@ where
                 .map(|i| {
                     let registry =
                         registries[i].clone().unwrap_or_else(|| Arc::new(Registry::new()));
-                    Executor::new(
-                        config.state_machine.clone(),
-                        NodeId::from_index(i),
-                        config.exec_workers_for(i),
-                        &registry,
-                    )
+                    Executor::new(config.state_machine.clone(), NodeId::from_index(i), 1, &registry)
                 })
                 .collect(),
         );
@@ -309,12 +270,6 @@ where
     #[must_use]
     pub fn applied_through(&self, node: NodeId) -> u64 {
         self.executors[node.index()].applied_through()
-    }
-
-    /// Whether `node`'s executor runs `"sharded"` or `"serial"`.
-    #[must_use]
-    pub fn executor_kind(&self, node: NodeId) -> &'static str {
-        self.executors[node.index()].mode()
     }
 
     /// The telemetry registry of `node`'s process, if it exposes one
@@ -562,20 +517,19 @@ impl<M: Send> ReplicaLoop<M> {
 
     /// Applies executions to the replica's store, records their decisions,
     /// and answers session clients whose commands were submitted here.
-    /// The whole round goes through the executor at once so non-conflicting
-    /// units can fan out across its shards; batched units unpack here, with
-    /// each inner command answered individually.
+    /// The whole round goes through the executor at once; batched units
+    /// unpack here, with each inner command answered individually.
     fn publish(&mut self, executions: &mut Vec<Execution>) {
         if executions.is_empty() {
             return;
         }
-        let units: Vec<Command> = executions.iter().map(|e| e.command.clone()).collect();
+        let (units, decisions): (Vec<Command>, Vec<Decision>) =
+            executions.drain(..).map(|e| (e.command, e.decision)).unzip();
         let outputs = self.executors[self.id.index()].apply_round(&units);
-        let mut batch = Vec::with_capacity(executions.len());
         let mut runtime_spans: Vec<SpanEvent> = Vec::new();
         let wall_now = telemetry::wall_clock_us();
-        for (execution, leaf_outputs) in executions.drain(..).zip(outputs) {
-            for (leaf, output) in execution.command.leaves().iter().zip(leaf_outputs) {
+        for ((unit, decision), leaf_outputs) in units.iter().zip(&decisions).zip(outputs) {
+            for (leaf, output) in unit.leaves().iter().zip(leaf_outputs) {
                 let id = leaf.id();
                 if self.registry.is_some() {
                     runtime_spans.push(SpanEvent {
@@ -594,17 +548,16 @@ impl<M: Send> ReplicaLoop<M> {
                             node: self.id,
                         });
                     }
-                    let mut decision = execution.decision.clone();
+                    let mut decision = decision.clone();
                     decision.command = id;
                     self.session.complete(Reply { command: id, node: self.id, output, decision });
                 }
             }
-            batch.push(execution.decision);
         }
         if let Some(registry) = &self.registry {
             registry.record_spans(&mut runtime_spans);
         }
-        self.decisions.lock().entry(self.id).or_default().extend(batch);
+        self.decisions.lock().entry(self.id).or_default().extend(decisions);
     }
 }
 

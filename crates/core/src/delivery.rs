@@ -65,6 +65,14 @@ impl DeliveryEngine {
         self.waiting.len()
     }
 
+    /// Number of stable commands whose timestamps the engine still holds —
+    /// only those not yet executed, since nothing reads an executed
+    /// command's timestamp.
+    #[must_use]
+    pub fn stable_count(&self) -> usize {
+        self.stable_ts.len()
+    }
+
     /// Registers a stable command with its final timestamp and predecessor
     /// set, applies the break-loop rule against other stable commands, and
     /// returns the commands that became executable as a result (in execution
@@ -141,6 +149,9 @@ impl DeliveryEngine {
         }
         self.executed_count += 1;
         self.waiting.remove(&id);
+        // Only waiting commands read a stable timestamp (loop breaking); an
+        // executed predecessor is skipped before its timestamp is consulted.
+        self.stable_ts.remove(&id);
         out.push(id);
         let Some(waiters) = self.waiters.remove(&id) else { return };
         for w in waiters {
@@ -171,6 +182,7 @@ impl DeliveryEngine {
         // A waiting command the transfer itself covers is done — its effect
         // arrived with the snapshot — so drop it rather than re-deliver it.
         self.waiting.retain(|id, _| !executed.contains(*id));
+        self.stable_ts.retain(|id, _| !executed.contains(*id));
         let mut newly_ready: Vec<CommandId> = Vec::new();
         for (&id, remaining) in self.waiting.iter_mut() {
             remaining.retain(|p| !executed.contains(*p));
@@ -237,6 +249,7 @@ mod tests {
         // When a becomes stable (earlier timestamp), both run: a then b.
         assert_eq!(d.on_stable(a, ts(1), &set(&[])), vec![a, b]);
         assert_eq!(d.waiting_count(), 0);
+        assert_eq!(d.stable_count(), 0, "executed commands drop their timestamps");
     }
 
     #[test]
@@ -334,6 +347,7 @@ mod tests {
         // left waiting.
         assert!(d.absorb_transfer(&transfer).is_empty());
         assert_eq!(d.waiting_count(), 0);
+        assert_eq!(d.stable_count(), 0, "a retired command's timestamp is dropped");
         assert!(d.is_executed(a) && d.is_executed(b));
     }
 

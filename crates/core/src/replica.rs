@@ -416,7 +416,14 @@ impl CaesarReplica {
         ctx: &mut Context<'_, CaesarMessage>,
     ) {
         let cmd_id = cmd.id();
-        if !self.admit_ballot(cmd_id, ballot) || self.is_stable_locally(cmd_id) {
+        // A proposal for a command executed here, or absorbed through a
+        // state transfer, is late: admitting it would re-index the command
+        // as pending, where it would block later proposals through the wait
+        // condition forever.
+        if self.delivery.is_executed(cmd_id)
+            || !self.admit_ballot(cmd_id, ballot)
+            || self.is_stable_locally(cmd_id)
+        {
             return;
         }
         self.clock.observe(time);
@@ -467,7 +474,10 @@ impl CaesarReplica {
         ctx: &mut Context<'_, CaesarMessage>,
     ) {
         let cmd_id = cmd.id();
-        if !self.admit_ballot(cmd_id, ballot) || self.is_stable_locally(cmd_id) {
+        if self.delivery.is_executed(cmd_id)
+            || !self.admit_ballot(cmd_id, ballot)
+            || self.is_stable_locally(cmd_id)
+        {
             return;
         }
         self.clock.observe(time);
@@ -593,7 +603,10 @@ impl CaesarReplica {
         ctx: &mut Context<'_, CaesarMessage>,
     ) {
         let cmd_id = cmd.id();
-        if !self.admit_ballot(cmd_id, ballot) || self.is_stable_locally(cmd_id) {
+        if self.delivery.is_executed(cmd_id)
+            || !self.admit_ballot(cmd_id, ballot)
+            || self.is_stable_locally(cmd_id)
+        {
             return;
         }
         self.clock.observe(time);
@@ -615,10 +628,7 @@ impl CaesarReplica {
         ctx: &mut Context<'_, CaesarMessage>,
     ) {
         let cmd_id = cmd.id();
-        if !self.admit_ballot(cmd_id, ballot) {
-            return;
-        }
-        if self.delivery.is_executed(cmd_id) {
+        if self.delivery.is_executed(cmd_id) || !self.admit_ballot(cmd_id, ballot) {
             return;
         }
         self.clock.observe(time);
@@ -641,8 +651,12 @@ impl CaesarReplica {
             self.history.mark_executed(id);
             self.metrics.commands_executed.inc();
             let info = self.history.get(id).expect("executed command is in the history");
-            // Executed commands never come back (`on_stable` ignores them),
-            // so their latency bookkeeping is taken out, not copied.
+            // Executed commands never come back (proposals and decisions
+            // for them are dropped as late), so their per-command
+            // bookkeeping is taken out, not copied.
+            self.ballots.remove(&id);
+            self.recovery_timer_set.remove(&id);
+            self.recovery_attempts.remove(&id);
             let stable_at = self.stable_seen_at.remove(&id).unwrap_or(now);
             let (proposed_at, path, breakdown) = match self.led.remove(&id) {
                 Some(led) => {
@@ -753,7 +767,11 @@ impl CaesarReplica {
         if ballot <= self.current_ballot(cmd_id) && self.ballots.contains_key(&cmd_id) {
             return;
         }
-        self.ballots.insert(cmd_id, ballot);
+        // An executed command's decision is final: answer with it, but keep
+        // no promise that would re-grow `ballots` after execution freed it.
+        if !self.delivery.is_executed(cmd_id) {
+            self.ballots.insert(cmd_id, ballot);
+        }
         let info = self.history.get(cmd_id).map(|info| RecoveryInfo {
             cmd: info.cmd.clone(),
             ts: info.ts,
@@ -1278,8 +1296,42 @@ mod tests {
             assert!(replica.leading.is_empty(), "{node} keeps leader state after stability");
             assert!(replica.led.is_empty(), "{node} keeps led records after execution");
             assert!(replica.stable_seen_at.is_empty(), "{node} keeps stable times after execution");
+            assert!(replica.ballots.is_empty(), "{node} keeps ballots after execution");
+            assert!(replica.recovery_timer_set.is_empty(), "{node} keeps recovery timers");
+            assert!(replica.recovery_attempts.is_empty(), "{node} keeps recovery attempts");
+            assert_eq!(replica.delivery.stable_count(), 0, "{node} keeps stable timestamps");
         }
         assert!(fast > 0 && slow > 0 && retry > 0, "paths: fast {fast} slow {slow} retry {retry}");
+    }
+
+    #[test]
+    fn late_messages_for_a_transferred_command_leave_no_trace() {
+        let me = NodeId(1);
+        let mut replica = CaesarReplica::new(me, CaesarConfig::new(5));
+        let cmd = put(0, 1, 7);
+        let (mut outbox, mut timers, mut executions) = (Vec::new(), Vec::new(), Vec::new());
+        let mut ctx = Context::for_runtime(me, 5, 0, &mut outbox, &mut timers, &mut executions);
+        let transfer =
+            StateTransfer { ordered: [cmd.id()].into_iter().collect(), ..StateTransfer::default() };
+        replica.on_state_transfer(&transfer, &mut ctx);
+
+        let ballot = Ballot::initial(NodeId(0));
+        let time = Timestamp::new(1, NodeId(0));
+        let late = [
+            CaesarMessage::FastPropose { ballot, cmd: cmd.clone(), time, whitelist: None },
+            CaesarMessage::SlowPropose { ballot, cmd: cmd.clone(), time, pred: BTreeSet::new() },
+            CaesarMessage::Retry { ballot, cmd: cmd.clone(), time, pred: BTreeSet::new() },
+            CaesarMessage::Stable { ballot, cmd: cmd.clone(), time, pred: BTreeSet::new() },
+        ];
+        for msg in late {
+            replica.on_message(NodeId(0), msg, &mut ctx);
+        }
+        assert!(replica.history.get(cmd.id()).is_none(), "no history entry for {}", cmd.id());
+        assert!(replica.ballots.is_empty(), "no ballot promised for an executed command");
+        assert_eq!(replica.executed_count(), 0, "nothing executes twice");
+        assert!(outbox.is_empty(), "no reply to a late proposal: {outbox:?}");
+        assert!(timers.is_empty(), "no recovery timer for an executed command");
+        assert!(executions.is_empty());
     }
 
     #[test]

@@ -124,34 +124,6 @@ impl StateMachine for KvStore {
     fn kind(&self) -> &'static str {
         "kv-store"
     }
-
-    // The keyspace partitions cleanly by conflict key and the fingerprint is
-    // an XOR over entries (empty = 0), so disjoint shards XOR-combine to the
-    // whole store's fingerprint — exactly what `consensus_core::exec`
-    // requires for sharded parallel execution.
-    fn partitionable(&self) -> bool {
-        true
-    }
-
-    fn split_snapshot(&self, shards: usize) -> Option<Vec<Vec<u8>>> {
-        let mut parts = vec![KvStore::new(); shards.max(1)];
-        for (&k, &v) in &self.data {
-            parts[consensus_core::exec::shard_of_key(Some(k), shards.max(1))].data.insert(k, v);
-        }
-        // The apply counters are whole-store totals; park them on shard 0 so
-        // summing over shards reproduces them.
-        parts[0].applied_writes = self.applied_writes;
-        parts[0].applied = self.applied;
-        Some(parts.iter().map(StateMachine::snapshot).collect())
-    }
-
-    fn merge_snapshot(&mut self, part: &[u8]) -> Result<(), RestoreError> {
-        let part: KvStore = bincode::deserialize(part).map_err(RestoreError::new)?;
-        self.data.extend(part.data);
-        self.applied_writes += part.applied_writes;
-        self.applied += part.applied;
-        Ok(())
-    }
 }
 
 /// Applies a sequence of commands to a fresh store and returns it.
@@ -258,84 +230,5 @@ mod tests {
     fn restore_rejects_garbage() {
         let mut store = KvStore::new();
         assert!(StateMachine::restore(&mut store, &[0xAB; 2]).is_err());
-    }
-
-    #[test]
-    fn split_then_merge_reassembles_the_store() {
-        let mut original = KvStore::new();
-        for i in 0..100 {
-            original.apply(&put(i + 1, i, i * 3));
-        }
-        let get =
-            Command::new(CommandId::new(NodeId(1), 1), consensus_types::Operation::Get, Some(7), 0);
-        original.apply(&get);
-
-        for shards in [1usize, 2, 4, 7] {
-            let parts = original.split_snapshot(shards).expect("kv store partitions");
-            assert_eq!(parts.len(), shards);
-            let mut merged = KvStore::new();
-            for part in &parts {
-                merged.merge_snapshot(part).expect("shard merges");
-            }
-            assert_eq!(merged, original, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn shard_fingerprints_xor_to_the_whole_store() {
-        let mut original = KvStore::new();
-        for i in 0..64 {
-            original.apply(&put(i + 1, i * 11, i));
-        }
-        let parts = original.split_snapshot(4).expect("kv store partitions");
-        let combined = parts.iter().fold(0u64, |acc, part| {
-            let mut shard = KvStore::new();
-            StateMachine::restore(&mut shard, part).expect("shard restores");
-            acc ^ StateMachine::fingerprint(&shard)
-        });
-        assert_eq!(combined, StateMachine::fingerprint(&original));
-    }
-
-    #[test]
-    fn sharded_executor_matches_a_serial_store() {
-        use consensus_core::exec::Executor;
-        use consensus_types::BATCH_LANE;
-
-        let registry = telemetry::Registry::new();
-        let sharded = Executor::new(KvStore::factory(), NodeId(0), 4, &registry);
-        assert_eq!(sharded.shards(), 4);
-        let serial = Executor::new(KvStore::factory(), NodeId(1), 1, &registry);
-
-        // Conflict-heavy mixed rounds: batches and plain commands over a
-        // narrow keyspace, so same-key order actually matters.
-        let mut seq = 0u64;
-        let mut cmd = |key: u64, value: u64| {
-            seq += 1;
-            put(seq, key, value)
-        };
-        let rounds: Vec<Vec<Command>> = (0..20)
-            .map(|r| {
-                let batch = Command::batch(
-                    CommandId::new(NodeId(0), BATCH_LANE | (r + 1)),
-                    (0..8).map(|i| cmd(i % 5, r * 100 + i)).collect(),
-                );
-                vec![batch, cmd(r % 5, r), cmd(13, r)]
-            })
-            .collect();
-        for round in &rounds {
-            let a = sharded.apply_round(round);
-            let b = serial.apply_round(round);
-            assert_eq!(a, b, "per-leaf outputs diverge");
-        }
-        assert_eq!(sharded.fingerprint(), serial.fingerprint());
-        assert_eq!(sharded.applied_through(), serial.applied_through());
-
-        // Snapshots cross the shard boundary in canonical form.
-        let image = sharded.snapshot();
-        let restored = Executor::new(KvStore::factory(), NodeId(2), 4, &registry);
-        restored.restore(&image).expect("canonical snapshot restores sharded");
-        assert_eq!(restored.fingerprint(), serial.fingerprint());
-        assert_eq!(restored.applied_through(), serial.applied_through());
-        assert!(registry.snapshot().counter("exec.rounds") >= 40);
     }
 }

@@ -72,11 +72,6 @@ pub struct NetConfig {
     /// Proposer batching knobs, forwarded to every replica (see
     /// [`NetReplicaConfig::batch`]). Disabled by default.
     pub batch: BatchConfig,
-    /// Execution workers per replica (see [`NetReplicaConfig::exec_workers`]).
-    pub exec_workers: usize,
-    /// Per-node override of [`NetConfig::exec_workers`], for clusters that
-    /// mix serial and sharded replicas (parity tests rely on this).
-    pub exec_workers_per_node: Option<Vec<usize>>,
 }
 
 impl std::fmt::Debug for NetConfig {
@@ -91,7 +86,6 @@ impl std::fmt::Debug for NetConfig {
             .field("data_dir", &self.data_dir)
             .field("fsync", &self.fsync)
             .field("batch", &self.batch)
-            .field("exec_workers", &self.exec_workers)
             .finish_non_exhaustive()
     }
 }
@@ -111,8 +105,6 @@ impl NetConfig {
             data_dir: None,
             fsync: FsyncPolicy::PerBatch,
             batch: BatchConfig::disabled(),
-            exec_workers: 1,
-            exec_workers_per_node: None,
         }
     }
 
@@ -121,31 +113,6 @@ impl NetConfig {
     pub fn with_batch(mut self, max_batch: usize) -> Self {
         self.batch = BatchConfig { max_batch: max_batch.max(1), ..BatchConfig::default() };
         self
-    }
-
-    /// Sets the number of execution workers per replica.
-    #[must_use]
-    pub fn with_exec_workers(mut self, workers: usize) -> Self {
-        self.exec_workers = workers.max(1);
-        self
-    }
-
-    /// Overrides the worker count per node (missing entries fall back to
-    /// [`NetConfig::exec_workers`]).
-    #[must_use]
-    pub fn with_exec_workers_per_node(mut self, workers: Vec<usize>) -> Self {
-        self.exec_workers_per_node = Some(workers);
-        self
-    }
-
-    /// The executor worker count for replica `index`.
-    #[must_use]
-    pub fn exec_workers_for(&self, index: usize) -> usize {
-        self.exec_workers_per_node
-            .as_ref()
-            .and_then(|w| w.get(index).copied())
-            .unwrap_or(self.exec_workers)
-            .max(1)
     }
 
     /// Installs an artificial-delay shim.
@@ -257,7 +224,6 @@ where
                 config.data_dir.as_ref().map(|root| root.join(format!("replica-{index}")));
             replica_config.fsync = config.fsync.clone();
             replica_config.batch = config.batch;
-            replica_config.exec_workers = config.exec_workers_for(index);
             replicas.push(NetReplica::spawn(replica_config, make(id))?);
         }
         let addrs: Vec<SocketAddr> = replicas.iter().map(NetReplica::local_addr).collect();
@@ -416,7 +382,6 @@ where
         replica_config.data_dir = self.config.replica_data_dir(node);
         replica_config.fsync = self.config.fsync.clone();
         replica_config.batch = self.config.batch;
-        replica_config.exec_workers = self.config.exec_workers_for(index);
         replica_config.catch_up = true;
         let mut replica = NetReplica::spawn(replica_config, process)?;
 
@@ -494,7 +459,6 @@ where
             replica_config.data_dir = self.config.replica_data_dir(node);
             replica_config.fsync = self.config.fsync.clone();
             replica_config.batch = self.config.batch;
-            replica_config.exec_workers = self.config.exec_workers_for(node.index());
             replica_config.catch_up = false; // no live donor exists
             fresh.push(NetReplica::spawn(replica_config, make(node))?);
         }

@@ -29,9 +29,10 @@
 //!   replicas, and can emulate the paper's EC2 latency matrix on loopback
 //!   via the [`DelayShim`].
 //!
-//! Each replica executes decided commands against a pluggable
-//! [`consensus_core::StateMachine`] (the `kvstore` reference implementation
-//! unless [`NetConfig::with_state_machine`] installs another), checkpoints
+//! Each replica executes decided commands on its core loop against a
+//! pluggable [`consensus_core::StateMachine`] (the `kvstore` reference
+//! implementation unless [`NetConfig::with_state_machine`] installs
+//! another), checkpoints
 //! it at least `checkpoint_interval` units apart (and, once the checkpoint
 //! outgrows one snapshot chunk, only after the suffix has logged about as
 //! many bytes as it holds), and retains the decided suffix since. That

@@ -13,10 +13,12 @@
 //! * a **core-loop thread** drains the mailbox, invokes the process
 //!   callbacks, applies executions to the replica's pluggable
 //!   [`StateMachine`] (the `kvstore` reference implementation unless the
-//!   config carries a custom factory), and maps the process's `SimTime`
-//!   timers onto wall-clock deadlines in a local timer wheel (its mailbox
-//!   wait *is* the timer sleep — it blocks until the earliest deadline,
-//!   not on a polling interval).
+//!   config carries a custom factory) on this same thread through an
+//!   [`Executor`] — no execution threads, since a round of decided
+//!   commands applies faster than it could be handed off — and maps the
+//!   process's `SimTime` timers onto wall-clock deadlines in a local timer
+//!   wheel (its mailbox wait *is* the timer sleep — it blocks until the
+//!   earliest deadline, not on a polling interval).
 //!
 //! Outbound frames are serialized on the core loop and handed to the event
 //! loop pre-framed; the optional [`DelayShim`] attaches an artificial
@@ -209,10 +211,10 @@ pub struct NetReplicaConfig {
     /// amortising ordering round trips, wire frames, and WAL fsyncs
     /// (group commit). Disabled by default (`max_batch = 1`).
     pub batch: BatchConfig,
-    /// Execution workers. `1` (the default) applies commands serially on
-    /// the core loop; `>= 2` shards a partitionable state machine so
-    /// non-conflicting commands apply in parallel (see
-    /// [`consensus_core::exec::Executor`]).
+    /// Ignored: every replica applies decided commands on its core loop
+    /// (see [`consensus_core::exec::Executor`]). Kept only because the
+    /// `perfbench/` benchmark still sets it; it goes with that benchmark's
+    /// next revision.
     pub exec_workers: usize,
 }
 
@@ -231,7 +233,6 @@ impl std::fmt::Debug for NetReplicaConfig {
             .field("data_dir", &self.data_dir)
             .field("fsync", &self.fsync)
             .field("batch", &self.batch)
-            .field("exec_workers", &self.exec_workers)
             .finish_non_exhaustive()
     }
 }
@@ -393,12 +394,8 @@ where
         let stats = Arc::new(NetReplicaStats::register(&registry));
         let subscriber_count = Arc::new(AtomicUsize::new(0));
         let io = Arc::new(IoQueue::new()?);
-        let executor = Arc::new(Executor::new(
-            config.state_machine.clone(),
-            config.id,
-            config.exec_workers,
-            &registry,
-        ));
+        let executor =
+            Arc::new(Executor::new(config.state_machine.clone(), config.id, 1, &registry));
         // Disk-first: open (and scan) the write-ahead log before any socket
         // traffic exists, so an unreadable data dir fails the spawn instead
         // of a serving replica.
@@ -482,12 +479,6 @@ where
     #[must_use]
     pub fn applied_through(&self) -> u64 {
         self.executor.applied_through()
-    }
-
-    /// Whether this replica's executor runs `"sharded"` or `"serial"`.
-    #[must_use]
-    pub fn executor_kind(&self) -> &'static str {
-        self.executor.mode()
     }
 
     /// Decision-stream subscribers the event loop has registered so far.
@@ -717,11 +708,10 @@ struct CoreLoop<P: Process> {
     timer_scale: f64,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
-    /// The replica's execution engine: serial on this thread, or sharded
-    /// across worker threads when the state machine is partitionable and
-    /// `exec_workers >= 2`. Every execution is applied here, and its output
-    /// answers `ClientRequest` submissions. Shared with the `NetReplica`
-    /// handle so orchestrators can read fingerprints and watermarks.
+    /// The replica's execution engine, applied on this thread. Every
+    /// execution is applied here, and its output answers `ClientRequest`
+    /// submissions. Shared with the `NetReplica` handle so orchestrators
+    /// can read fingerprints and watermarks.
     executor: Arc<Executor>,
     /// Proposer batching knobs (disabled ⇒ the mailbox drain never runs).
     batch: BatchConfig,
@@ -1068,8 +1058,7 @@ where
     /// reply and decision-stream frames: one [`Event::ClientReply`] per
     /// inner command (routed to whichever connection submitted it, or
     /// dropped if none did) and one [`Event::Decisions`] batch for the
-    /// subscribers. The whole round goes to the executor at once, so with a
-    /// sharded executor non-conflicting units apply in parallel; batch
+    /// subscribers. The whole round goes to the executor at once; batch
     /// units unpack here — the WAL logs each unit filtered to its surviving
     /// inner commands, and one commit (one fsync) closes the round.
     /// Serialization happens here; the I/O thread never blocks on a stalled
@@ -1079,7 +1068,6 @@ where
             return;
         }
         let mut cmds: Vec<IoCmd> = Vec::with_capacity(executions.len() + 1);
-        let mut batch = Vec::with_capacity(executions.len());
         let mut runtime_spans: Vec<SpanEvent> = Vec::with_capacity(executions.len());
         let wall_now = telemetry::wall_clock_us();
         // Dedup: a unit already executed — through catch-up replay, or as a
@@ -1093,44 +1081,46 @@ where
         // gets an explicit abort — the output its submission would have
         // produced is unknowable now, and silence would hang its ticket
         // until the session timeout.
-        let mut round: Vec<(Execution, Command)> = Vec::with_capacity(executions.len());
-        for execution in executions.drain(..) {
-            let unit_id = execution.command.id();
+        let mut decisions: Vec<Decision> = Vec::with_capacity(executions.len());
+        let mut units: Vec<Command> = Vec::with_capacity(executions.len());
+        for Execution { command, decision } in executions.drain(..) {
+            let unit_id = command.id();
             if self.ordered.contains(unit_id) {
-                let waiting: Vec<CommandId> =
-                    execution.command.leaves().iter().map(Command::id).collect();
-                for id in waiting {
-                    self.abort_duplicate(id, &mut cmds);
+                for leaf in command.leaves() {
+                    self.abort_duplicate(leaf.id(), &mut cmds);
                 }
                 continue;
             }
             self.ordered.insert(unit_id);
-            let leaves = execution.command.leaves();
-            let mut surviving = Vec::with_capacity(leaves.len());
-            for leaf in leaves {
-                if self.applied.contains(leaf.id()) {
-                    self.abort_duplicate(leaf.id(), &mut cmds);
-                } else {
-                    surviving.push(leaf.clone());
-                }
-            }
-            if surviving.is_empty() {
-                continue;
-            }
-            // Re-pack the unit to its surviving inner commands: the WAL
-            // record and the executor both see exactly what will apply.
-            let unit = if execution.command.is_batch() {
-                Command::batch(unit_id, surviving)
+            let unit = if command.leaves().iter().all(|leaf| !self.applied.contains(leaf.id())) {
+                command
             } else {
-                surviving.pop().expect("one surviving plain command")
+                // Re-pack the unit to its surviving inner commands: the WAL
+                // record and the executor both see exactly what will apply.
+                let mut surviving = Vec::new();
+                for leaf in command.leaves() {
+                    if self.applied.contains(leaf.id()) {
+                        self.abort_duplicate(leaf.id(), &mut cmds);
+                    } else {
+                        surviving.push(leaf.clone());
+                    }
+                }
+                if surviving.is_empty() {
+                    continue;
+                }
+                if command.is_batch() {
+                    Command::batch(unit_id, surviving)
+                } else {
+                    surviving.pop().expect("one surviving plain command")
+                }
             };
-            round.push((execution, unit));
+            decisions.push(decision);
+            units.push(unit);
         }
         // Log before apply: a command is on disk (staged, at least) before
         // its effects exist, so recovery can only ever see a
         // logged-but-unapplied command — replayable — never an
         // applied-but-unlogged one, which would be lost state.
-        let units: Vec<Command> = round.iter().map(|(_, unit)| unit.clone()).collect();
         if let Some(wal) = &mut self.wal {
             for unit in &units {
                 if let Err(err) = wal.append_command(unit) {
@@ -1140,7 +1130,7 @@ where
             }
         }
         let outputs = self.executor.apply_round(&units);
-        for ((execution, unit), leaf_outputs) in round.into_iter().zip(outputs) {
+        for ((decision, unit), leaf_outputs) in decisions.iter().zip(units).zip(outputs) {
             for (leaf, output) in unit.leaves().iter().zip(leaf_outputs) {
                 let id = leaf.id();
                 self.applied.insert(id);
@@ -1157,7 +1147,7 @@ where
                         at: wall_now,
                         node: self.id,
                     });
-                    let mut decision = execution.decision.clone();
+                    let mut decision = decision.clone();
                     decision.command = id;
                     let reply = Event::ClientReply { from: self.id, command: id, output, decision };
                     if let Ok(frame) = frame_bytes(&reply) {
@@ -1167,7 +1157,6 @@ where
             }
             self.suffix_bytes += bincode::serialized_size(&unit).expect("unit encodes");
             self.suffix_log.push(unit);
-            batch.push(execution.decision);
         }
         self.registry.record_spans(&mut runtime_spans);
         let watermark = self.executor.applied_through();
@@ -1193,7 +1182,7 @@ where
             }
         }
         if self.subscribers.load(Ordering::Relaxed) > 0 {
-            let event = Event::Decisions { from: self.id, batch };
+            let event = Event::Decisions { from: self.id, batch: decisions };
             if let Ok(frame) = frame_bytes(&event) {
                 cmds.push(IoCmd::Publish { frame });
             }

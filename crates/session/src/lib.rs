@@ -34,8 +34,7 @@
 //! Two throughput-path modules sit beside the session contract (see
 //! `docs/THROUGHPUT.md`): [`batch`] folds concurrently queued client
 //! commands into one consensus instance, and [`exec`] applies decided
-//! commands on a pool of conflict-key shards so non-conflicting commands
-//! execute in parallel.
+//! commands to the replica's state machine on the runtime's core loop.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,7 +45,7 @@ pub mod session;
 pub mod state_machine;
 
 pub use batch::{BatchConfig, Batcher};
-pub use exec::{shard_of_key, Executor, PreparedRestore};
+pub use exec::{Executor, PreparedRestore};
 pub use session::{
     ClientHandle, ClusterHandle, Drive, Op, ParkDrive, Reply, SessionCore, SessionError,
     SubmitTransport, Ticket, Waiter, DEFAULT_IN_FLIGHT,

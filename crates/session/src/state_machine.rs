@@ -93,37 +93,6 @@ pub trait StateMachine: Send {
     fn kind(&self) -> &'static str {
         "state-machine"
     }
-
-    /// Whether this machine's state can be partitioned by conflict key for
-    /// sharded parallel execution (see `consensus_core::exec`). Requires an
-    /// order-insensitive [`StateMachine::fingerprint`] that combines across
-    /// disjoint key partitions by XOR, and working
-    /// [`StateMachine::split_snapshot`] / [`StateMachine::merge_snapshot`]
-    /// implementations. Machines whose identity depends on total order
-    /// (e.g. [`EventLog`]) keep the default `false` and always execute
-    /// serially.
-    fn partitionable(&self) -> bool {
-        false
-    }
-
-    /// Splits this machine's state into `shards` disjoint partitions — one
-    /// snapshot per shard, entries routed by `consensus_core::exec::shard_of_key`
-    /// — such that restoring partition `i` into a fresh machine yields the
-    /// shard that will see exactly the commands routed to shard `i`.
-    /// Returns `None` when the machine is not partitionable.
-    fn split_snapshot(&self, shards: usize) -> Option<Vec<Vec<u8>>> {
-        let _ = shards;
-        None
-    }
-
-    /// Merges one shard's snapshot into this machine (the inverse of
-    /// [`StateMachine::split_snapshot`]: merging every part into a fresh
-    /// machine reassembles the canonical whole). Errs when the machine is
-    /// not partitionable or the bytes do not decode.
-    fn merge_snapshot(&mut self, part: &[u8]) -> Result<(), RestoreError> {
-        let _ = part;
-        Err(RestoreError::new("state machine is not partitionable"))
-    }
 }
 
 /// How a runtime builds the state machine of each replica. Cheap to clone;

@@ -2,12 +2,12 @@
 //!
 //! Eight submitter threads share replica p0 through cloned session
 //! [`ClientHandle`]s, each keeping up to 128 commands in flight, for a
-//! total of 4096 commands racing through the proposer batcher and a 4-way
-//! sharded executor. The test pins the end-to-end contract the batching
-//! layer must keep under pressure: every individual ticket gets its own
-//! reply (fan-out from batched decisions), every replica applies every
-//! inner command exactly once, all replicas converge on one fingerprint,
-//! and the batcher demonstrably coalesced (`batch.assembled` moved).
+//! total of 4096 commands racing through the proposer batcher. The test
+//! pins the end-to-end contract the batching layer must keep under
+//! pressure: every individual ticket gets its own reply (fan-out from
+//! batched decisions), every replica applies every inner command exactly
+//! once, all replicas converge on one fingerprint, and the batcher
+//! demonstrably coalesced (`batch.assembled` moved).
 //!
 //! Ignored by default — this is the bounded CI soak (`--ignored`), not a
 //! unit test.
@@ -30,7 +30,7 @@ const WINDOW: u64 = 128;
 #[ignore = "bounded CI soak; run with `cargo test --release -- --ignored`"]
 fn four_thousand_virtual_clients_batch_through_one_replica() {
     let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
-    let config = NetConfig::new(NODES).with_batch(64).with_exec_workers(4);
+    let config = NetConfig::new(NODES).with_batch(64);
     let cluster = NetCluster::start(config, move |id| CaesarReplica::new(id, caesar.clone()))
         .expect("cluster starts");
 

@@ -177,9 +177,7 @@ fn submit_batched<H: ClusterHandle>(runtime: &str, handle: &H) {
 /// Cross-runtime agreement under batching: the same concurrent workload,
 /// driven with proposer batching enabled, answers every individual ticket
 /// and converges every replica of every runtime onto the identical
-/// state-machine fingerprint. The TCP runtime additionally runs a 4-way
-/// sharded executor, so serial and parallel execution are compared against
-/// each other across runtime boundaries.
+/// state-machine fingerprint.
 #[test]
 fn batched_submissions_reply_per_command_and_converge_across_runtimes() {
     // Simulator: all submissions land at the same simulated instant, so
@@ -204,7 +202,7 @@ fn batched_submissions_reply_per_command_and_converge_across_runtimes() {
     let assembled = session.with_sim(|sim| sim.registry().snapshot().counter("batch.assembled"));
     assert!(assembled > 0, "simnet: concurrent submissions must have coalesced");
 
-    // Thread cluster: serial executors, opportunistic mailbox batching.
+    // Thread cluster: opportunistic mailbox batching.
     let config = ClusterConfig::new(LatencyMatrix::ec2_five_sites())
         .with_latency_scale(0.005)
         .with_batch(BATCH_MAX);
@@ -218,9 +216,9 @@ fn batched_submissions_reply_per_command_and_converge_across_runtimes() {
     }
     threads.shutdown();
 
-    // TCP runtime: batching plus a sharded executor on every replica.
+    // TCP runtime: batching on every replica.
     let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
-    let net_config = NetConfig::new(NODES).with_batch(BATCH_MAX).with_exec_workers(4);
+    let net_config = NetConfig::new(NODES).with_batch(BATCH_MAX);
     let sockets = NetCluster::start(net_config, move |id| CaesarReplica::new(id, caesar.clone()))
         .expect("net cluster starts");
     submit_batched("net", &sockets);
@@ -232,8 +230,7 @@ fn batched_submissions_reply_per_command_and_converge_across_runtimes() {
     sockets.shutdown();
 
     // The workload is deterministic in its effects (independent writes), so
-    // all fifteen replicas — serial or sharded, simulated or real — end on
-    // one fingerprint.
+    // all fifteen replicas, simulated or real, end on one fingerprint.
     assert_eq!(sim_fp, cluster_fp, "simnet and thread cluster diverged");
     assert_eq!(sim_fp, net_fp, "simnet and TCP runtime diverged");
 }

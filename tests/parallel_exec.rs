@@ -1,19 +1,15 @@
-//! Sharded-vs-serial execution parity, for **every** protocol: a thread
-//! cluster where replicas p1 and p3 run a 4-way *sharded* executor while
-//! p0, p2 and p4 apply *serially*, driven with a conflict-heavy batched
-//! workload over a six-key keyspace. Consensus fixes one total order per
-//! conflict class; the sharded executor is only allowed to exploit the
-//! *absence* of conflicts, so every replica — regardless of how many
-//! workers it applies with — must land on the identical state-machine
-//! fingerprint and the identical applied watermark.
+//! Batched execution convergence, for **every** protocol: a five-replica
+//! thread cluster driven with a conflict-heavy batched workload over a
+//! six-key keyspace. Consensus fixes one total order per conflict class,
+//! so every replica must land on the identical state-machine fingerprint
+//! and the identical applied watermark.
 //!
-//! The workload is deliberately hostile to a careless parallel executor:
-//! commands are submitted in concurrent waves (so the proposer batcher
-//! coalesces multi-command units), and with only six live keys most
-//! co-batched commands conflict — they hash to the same shard and must be
-//! applied in unit order there. A mistake in shard routing, intra-unit
-//! ordering, or watermark accounting shows up as a fingerprint split
-//! between the serial and sharded replicas.
+//! The workload is deliberately hostile to execution: commands are
+//! submitted in concurrent waves (so the proposer batcher coalesces
+//! multi-command units), and with only six live keys most co-batched
+//! commands conflict and must apply in unit order. A mistake in intra-unit
+//! ordering, batch unpacking or watermark accounting shows up as a
+//! fingerprint split between replicas.
 
 use std::time::{Duration, Instant};
 
@@ -37,31 +33,15 @@ const WAVES: u64 = 6;
 const WAVE_WIDTH: u64 = 16;
 const KEYS: u64 = 6;
 
-/// Workers per replica: serial and 4-way sharded interleaved, so parity is
-/// checked between *both* executor kinds inside one consensus history.
-fn worker_layout() -> Vec<usize> {
-    vec![1, 4, 1, 4, 1]
-}
-
-fn run_parallel_matrix<P, F>(label: &str, make: F)
+fn run_batched_matrix<P, F>(label: &str, make: F)
 where
     P: Process + Send + 'static,
     P::Message: Send + 'static,
     F: FnMut(NodeId) -> P,
 {
-    let config = ClusterConfig::new(LatencyMatrix::ec2_five_sites())
-        .with_latency_scale(0.005)
-        .with_batch(8)
-        .with_exec_workers_per_node(worker_layout());
+    let config =
+        ClusterConfig::new(LatencyMatrix::ec2_five_sites()).with_latency_scale(0.005).with_batch(8);
     let cluster = Cluster::start(config, make);
-    for (index, workers) in worker_layout().into_iter().enumerate() {
-        let expected = if workers > 1 { "sharded" } else { "serial" };
-        assert_eq!(
-            cluster.executor_kind(NodeId::from_index(index)),
-            expected,
-            "[{label}] p{index} runs the configured executor kind"
-        );
-    }
 
     // Concurrent conflicting waves: every ticket of a wave is in flight
     // before the first is awaited, so the batcher can coalesce, and the
@@ -96,45 +76,40 @@ where
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    // ... and serial and sharded executors agree on the resulting state.
+    // ... and every replica agrees on the resulting state.
     let reference = cluster.state_fingerprint(AT);
     for node in NodeId::all(NODES) {
-        assert_eq!(
-            cluster.state_fingerprint(node),
-            reference,
-            "[{label}] {node} ({}) diverged from p0 (serial)",
-            cluster.executor_kind(node)
-        );
+        assert_eq!(cluster.state_fingerprint(node), reference, "[{label}] {node} diverged from p0");
     }
     cluster.shutdown();
 }
 
 #[test]
-fn caesar_sharded_execution_matches_serial() {
+fn caesar_batched_execution_converges() {
     let config = CaesarConfig::new(NODES).with_recovery_timeout(None);
-    run_parallel_matrix("caesar", move |id| CaesarReplica::new(id, config.clone()));
+    run_batched_matrix("caesar", move |id| CaesarReplica::new(id, config.clone()));
 }
 
 #[test]
-fn epaxos_sharded_execution_matches_serial() {
+fn epaxos_batched_execution_converges() {
     let config = EpaxosConfig::new(NODES).with_recovery_timeout(None);
-    run_parallel_matrix("epaxos", move |id| EpaxosReplica::new(id, config.clone()));
+    run_batched_matrix("epaxos", move |id| EpaxosReplica::new(id, config.clone()));
 }
 
 #[test]
-fn multipaxos_sharded_execution_matches_serial() {
+fn multipaxos_batched_execution_converges() {
     let config = MultiPaxosConfig::new(NODES, AT);
-    run_parallel_matrix("multipaxos", move |id| MultiPaxosReplica::new(id, config.clone()));
+    run_batched_matrix("multipaxos", move |id| MultiPaxosReplica::new(id, config.clone()));
 }
 
 #[test]
-fn mencius_sharded_execution_matches_serial() {
+fn mencius_batched_execution_converges() {
     let config = MenciusConfig::new(NODES);
-    run_parallel_matrix("mencius", move |id| MenciusReplica::new(id, config.clone()));
+    run_batched_matrix("mencius", move |id| MenciusReplica::new(id, config.clone()));
 }
 
 #[test]
-fn m2paxos_sharded_execution_matches_serial() {
+fn m2paxos_batched_execution_converges() {
     let config = M2PaxosConfig::new(NODES);
-    run_parallel_matrix("m2paxos", move |id| M2PaxosReplica::new(id, config.clone()));
+    run_batched_matrix("m2paxos", move |id| M2PaxosReplica::new(id, config.clone()));
 }

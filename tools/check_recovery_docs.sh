@@ -125,11 +125,7 @@ check_sym "$doc" Command::batch 'pub fn batch' crates/types/src/command.rs
 check_sym "$doc" Command::leaves 'pub fn leaves' crates/types/src/command.rs
 check_sym "$doc" Executor 'pub struct Executor' crates/session/src/exec.rs
 check_sym "$doc" Executor::apply_round 'pub fn apply_round' crates/session/src/exec.rs
-check_sym "$doc" StateMachine::partitionable 'fn partitionable' crates/session/src/state_machine.rs
-check_sym "$doc" StateMachine::split_snapshot 'fn split_snapshot' crates/session/src/state_machine.rs
-check_sym "$doc" StateMachine::merge_snapshot 'fn merge_snapshot' crates/session/src/state_machine.rs
 check_sym "$doc" NetConfig::with_batch 'pub fn with_batch' crates/net/src/cluster.rs
-check_sym "$doc" NetConfig::with_exec_workers 'pub fn with_exec_workers' crates/net/src/cluster.rs
 check_sym "$doc" ClusterConfig::with_batch 'pub fn with_batch' crates/cluster/src/lib.rs
 check_sym "$doc" SimConfig::with_batch 'pub fn with_batch' crates/simnet/src/sim.rs
 check_sym "$doc" batch.assembled 'batch\.assembled' crates/net/src/replica.rs

@@ -1,7 +1,7 @@
 //! Orchestration of an N-replica cluster over loopback TCP.
 //!
-//! [`NetCluster`] is the socket-runtime analogue of `cluster::Cluster` and
-//! the simulator: it spawns one [`NetReplica`] per node on an OS-assigned
+//! [`NetCluster`] is the socket-runtime analogue of the simulator's
+//! `SimSession`: it spawns one [`NetReplica`] per node on an OS-assigned
 //! loopback port, distributes the address book, opens one *client*
 //! connection per replica, and subscribes to every replica's decision stream
 //! so tests and examples can assert on delivery orders observed **over the
@@ -111,7 +111,7 @@ impl NetConfig {
     /// Enables proposer batching with the given maximum batch size.
     #[must_use]
     pub fn with_batch(mut self, max_batch: usize) -> Self {
-        self.batch = BatchConfig { max_batch: max_batch.max(1), ..BatchConfig::default() };
+        self.batch = BatchConfig { max_batch: max_batch.max(1) };
         self
     }
 

@@ -1,6 +1,5 @@
-//! Socket-based TCP transport runtime: the third runtime of the CAESAR
-//! reproduction, next to the `simnet` discrete-event simulator and the
-//! `cluster` in-process thread runtime.
+//! Socket-based TCP transport runtime: the wall-clock runtime of the CAESAR
+//! reproduction, next to the `simnet` discrete-event simulator.
 //!
 //! The paper evaluates CAESAR on five real EC2 sites. This crate closes the
 //! gap between the simulator and such a deployment: it takes **any**

@@ -664,6 +664,22 @@ struct Checkpoint {
     payload: Arc<Vec<u8>>,
 }
 
+/// What a [`Checkpoint`]'s payload decodes to, both from the write-ahead
+/// log and from a donor's snapshot transfer. The fields encode in order,
+/// with no framing, so the bytes match the tuple
+/// `(snapshot, applied, ordered, cursor)` older logs hold.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct CheckpointPayload {
+    /// The state machine's `snapshot()` bytes.
+    snapshot: Vec<u8>,
+    /// Every command id the snapshot covers.
+    applied: AppliedSummary,
+    /// Every consensus-unit id the snapshot covers.
+    ordered: AppliedSummary,
+    /// The protocol's resume point for exactly that state.
+    cursor: ExecutionCursor,
+}
+
 /// One donor's in-flight snapshot transfer, assembled chunk by chunk.
 struct DonorTransfer {
     applied_through: u64,
@@ -1242,11 +1258,7 @@ where
         let mut covered_units = AppliedSummary::default();
         let mut checkpoint_cursor = ExecutionCursor::Ids;
         if let Some(image) = &recovery.checkpoint {
-            let Ok((snapshot, applied, ordered, cursor)) =
-                bincode::deserialize::<(Vec<u8>, AppliedSummary, AppliedSummary, ExecutionCursor)>(
-                    &image.payload,
-                )
-            else {
+            let Ok(checkpoint) = bincode::deserialize::<CheckpointPayload>(&image.payload) else {
                 // A CRC-valid but undecodable checkpoint means a format
                 // change or writer bug, not disk damage; starting empty
                 // (and falling back to snapshot transfer if catch_up is
@@ -1255,7 +1267,7 @@ where
                 eprintln!("replica {} wal checkpoint undecodable; starting empty", self.id);
                 return;
             };
-            if self.executor.restore(&snapshot).is_err() {
+            if self.executor.restore(&checkpoint.snapshot).is_err() {
                 self.wal_errors.checkpoint.inc();
                 eprintln!(
                     "replica {} wal checkpoint rejected by state machine; starting empty",
@@ -1263,9 +1275,9 @@ where
                 );
                 return;
             }
-            covered = applied;
-            covered_units = ordered;
-            checkpoint_cursor = cursor;
+            covered = checkpoint.applied;
+            covered_units = checkpoint.ordered;
+            checkpoint_cursor = checkpoint.cursor;
         }
         // Suffix records are consensus units (batches log filtered to the
         // inner commands that actually applied), so replaying them through
@@ -1328,9 +1340,13 @@ where
         let snapshot = self.executor.snapshot();
         let applied_through = self.executor.applied_through();
         self.observe_watermark(applied_through);
-        let cursor = self.process.execution_cursor();
-        let payload = bincode::serialize(&(snapshot, &self.applied, &self.ordered, cursor))
-            .expect("checkpoint payload serializes");
+        let payload = bincode::serialize(&CheckpointPayload {
+            snapshot,
+            applied: self.applied.clone(),
+            ordered: self.ordered.clone(),
+            cursor: self.process.execution_cursor(),
+        })
+        .expect("checkpoint payload serializes");
         // The same serialized payload becomes the durable checkpoint record:
         // the log rotates to a fresh segment headed by it and compacts every
         // older segment away (they are fully covered). A cut that follows a
@@ -1513,17 +1529,13 @@ where
         for chunk in donor.chunks {
             payload.extend_from_slice(&chunk.expect("transfer complete"));
         }
-        let Ok((snapshot, covered, covered_units, checkpoint_cursor)) =
-            bincode::deserialize::<(Vec<u8>, AppliedSummary, AppliedSummary, ExecutionCursor)>(
-                &payload,
-            )
-        else {
+        let Ok(checkpoint) = bincode::deserialize::<CheckpointPayload>(&payload) else {
             // Broken donor: stay in the restoring state and wait for
             // another transfer (or the deadline).
             self.restore = Some(restore);
             return;
         };
-        let Ok(prepared) = self.executor.prepare_restore(&snapshot) else {
+        let Ok(prepared) = self.executor.prepare_restore(&checkpoint.snapshot) else {
             self.restore = Some(restore);
             return;
         };
@@ -1556,9 +1568,9 @@ where
         // covers the suffix the checkpoint-time cursor predates; merging
         // keeps whichever claim is further along.
         let mut transfer = StateTransfer {
-            applied: covered,
-            ordered: covered_units,
-            cursor: checkpoint_cursor.merge(donor.cursor),
+            applied: checkpoint.applied,
+            ordered: checkpoint.ordered,
+            cursor: checkpoint.cursor.merge(donor.cursor),
         };
         transfer
             .applied
@@ -1691,5 +1703,22 @@ mod tests {
         };
         let frame = frame_bytes(&last_chunk).expect("capped suffix plus one chunk fits a frame");
         assert!(frame.len() - FRAME_HEADER_LEN <= MAX_FRAME_LEN as usize);
+    }
+
+    #[test]
+    fn checkpoint_payload_decodes_tuple_encoded_checkpoints() {
+        // Logs written before the payload had a name hold this tuple.
+        let applied: AppliedSummary = (1..=40).map(|seq| CommandId::new(NodeId(2), seq)).collect();
+        let ordered: AppliedSummary =
+            [CommandId::new(NodeId(0), BATCH_LANE | 3)].into_iter().collect();
+        let backlog = vec![(42, Command::put(CommandId::new(NodeId(1), 9), 5, 6))];
+        let cursor = ExecutionCursor::Log { next_execute: 41, next_free: 44, backlog };
+        let tuple = (vec![7_u8, 0, 255], applied.clone(), ordered.clone(), cursor.clone());
+        let bytes = bincode::serialize(&tuple).expect("tuple encodes");
+
+        let decoded: CheckpointPayload = bincode::deserialize(&bytes).expect("tuple bytes decode");
+        let payload = CheckpointPayload { snapshot: vec![7, 0, 255], applied, ordered, cursor };
+        assert_eq!(decoded, payload);
+        assert_eq!(bincode::serialize(&payload).expect("payload encodes"), bytes);
     }
 }

@@ -18,34 +18,27 @@
 //! unit-id summary ([`Batcher::reseed`]) so a new incarnation never reuses a
 //! previous life's batch ids.
 //!
-//! Knobs ([`BatchConfig`]): `max_batch` bounds how many commands one unit
-//! carries; `max_linger` optionally holds the first command back for a
-//! window so more can join (the default of zero means *batch whatever is
-//! already queued when the loop turns* — no added latency, batches emerge
-//! exactly when load queues commands faster than consensus turns them
-//! around). A single queued command passes through untouched: with
-//! `max_batch = 1` (or idle traffic) the system behaves byte-for-byte as it
-//! did before batching existed.
-
-use std::time::Duration;
+//! Knob ([`BatchConfig`]): `max_batch` bounds how many commands one unit
+//! carries. The batcher never holds a command back to wait for company: a
+//! batch is whatever is already queued when the loop turns, so there is no
+//! added latency, and batches emerge exactly when load queues commands
+//! faster than consensus turns them around. A single queued command passes
+//! through untouched: with `max_batch = 1` (or idle traffic) the system
+//! behaves byte-for-byte as it did before batching existed.
 
 use consensus_types::{AppliedSummary, Command, CommandId, NodeId, BATCH_LANE};
 
-/// Tuning knobs of the proposer batcher.
+/// Tuning knob of the proposer batcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Maximum number of client commands folded into one consensus unit.
     /// `1` disables batching entirely (every command is its own instance).
     pub max_batch: usize,
-    /// How long the core loop may hold the first queued command back to let
-    /// more join its batch. Zero (the default) never waits: a batch is
-    /// whatever was already queued when the loop turned.
-    pub max_linger: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        Self { max_batch: 64, max_linger: Duration::ZERO }
+        Self { max_batch: 64 }
     }
 }
 
@@ -53,7 +46,7 @@ impl BatchConfig {
     /// A config that disables batching (`max_batch = 1`).
     #[must_use]
     pub fn disabled() -> Self {
-        Self { max_batch: 1, max_linger: Duration::ZERO }
+        Self { max_batch: 1 }
     }
 
     /// Whether batching is enabled at all.

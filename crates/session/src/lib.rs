@@ -3,10 +3,9 @@
 //! Every figure of the paper measures *client-perceived* behaviour: a client
 //! submits a command at its local replica and waits for it to execute there.
 //! This crate defines that submit/await contract once, so the same client
-//! code runs against the discrete-event simulator (`simnet::SimSession`),
-//! the threaded in-process runtime (`cluster::Cluster`) and the TCP runtime
-//! (`net::NetCluster`, including fully external processes speaking the wire
-//! protocol):
+//! code runs against the discrete-event simulator (`simnet::SimSession`)
+//! and the TCP runtime (`net::NetCluster`, including fully external
+//! processes speaking the wire protocol):
 //!
 //! * [`session::ClusterHandle`] — implemented by every runtime; hands out
 //!   per-replica [`session::ClientHandle`]s.

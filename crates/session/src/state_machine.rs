@@ -105,7 +105,7 @@ pub type StateMachineFactory = Arc<dyn Fn(NodeId) -> Box<dyn StateMachine> + Sen
 /// merely *records* them: every applied command is appended verbatim and the
 /// output is its 1-based log position. That makes replies observable and
 /// strictly ordered — position `n` answers the `n`-th command the replica
-/// executed — so the cross-runtime tests can assert that all three runtimes
+/// executed — so the cross-runtime tests can assert that both runtimes
 /// drive an arbitrary state machine identically, not just the key-value
 /// store they used to hard-code.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]

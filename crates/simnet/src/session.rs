@@ -5,7 +5,7 @@
 //! [`consensus_core::StateMachine`] per replica (the `kvstore` reference
 //! implementation unless a custom factory is supplied), and implements
 //! [`ClusterHandle`] so the same submit/await client code drives the
-//! discrete-event simulator, the threaded runtime and the TCP runtime.
+//! discrete-event simulator and the TCP runtime.
 //! Submissions are scheduled at the current simulated time;
 //! [`consensus_core::session::Ticket::wait`] advances simulated time until
 //! the command executes at the submitting replica and then returns the

@@ -56,7 +56,7 @@ impl SimConfig {
     /// Enables proposer batching with the given maximum batch size.
     #[must_use]
     pub fn with_batch(mut self, max_batch: usize) -> Self {
-        self.batch = BatchConfig { max_batch: max_batch.max(1), ..BatchConfig::default() };
+        self.batch = BatchConfig { max_batch: max_batch.max(1) };
         self
     }
 

@@ -10,8 +10,8 @@
 //! cargo run --release --example custom_state_machine
 //! ```
 //!
-//! The same factory plugs into the other runtimes
-//! (`ClusterConfig::with_state_machine`, `SimSession::with_state_machines`)
+//! The same factory plugs into the simulator
+//! (`SimSession::with_state_machines`)
 //! and into a served cluster (`tcp_cluster -- serve 30 log`); snapshot
 //! catch-up for restarted replicas works for any implementation because it
 //! only uses the trait's `snapshot`/`restore`/`applied_through` surface.

@@ -8,17 +8,16 @@
 //! the experiments, and the `examples/quickstart.rs` binary for a guided
 //! tour.
 //!
-//! # Three runtimes, one client API, one pluggable state machine
+//! # Two runtimes, one client API, one pluggable state machine
 //!
 //! Every protocol implements the single [`simnet::Process`] trait once —
 //! pushing executed commands through `Context::deliver` — and then runs,
-//! unchanged, on three substrates:
+//! unchanged, on two substrates:
 //!
 //! | runtime | substrate | time | use it for |
 //! |---|---|---|---|
 //! | [`simnet`] | discrete-event simulator | simulated | reproducing the paper's figures exactly (seeded, deterministic, crash injection, CPU-saturation model) |
-//! | [`cluster`] | one OS thread per replica, channel links | wall clock | exercising the protocols under real concurrency and scheduler interleavings in one process |
-//! | [`net`] | epoll event loop over real TCP sockets, CRC-checked bincode frames | wall clock | deployment-shaped runs: hundreds of concurrent clients per replica, kernel buffers, reconnects, crash/restart + snapshot catch-up, external clients and processes |
+//! | [`net`] | epoll event loop over real TCP sockets, CRC-checked bincode frames | wall clock | real threads and scheduler interleavings on loopback, and deployment-shaped runs: hundreds of concurrent clients per replica, kernel buffers, reconnects, crash/restart + snapshot catch-up, external clients and processes |
 //!
 //! What the decided order *drives* is equally pluggable: every runtime owns
 //! one [`consensus_core::StateMachine`] per replica — `apply` one decided
@@ -80,7 +79,7 @@
 //! are documented in the [`durability`] chapter (rendered from
 //! `docs/DURABILITY.md`).
 //!
-//! All three serve clients through the same session API
+//! Both serve clients through the same session API
 //! ([`consensus_core::session`]): `ClusterHandle::client(node)` hands out a
 //! `ClientHandle` bound to one replica, `ClientHandle::submit(op)` returns a
 //! `Ticket`, and `Ticket::wait()` resolves to a `Reply` once the command
@@ -111,23 +110,6 @@
 //! let read = client.submit(Op::get(7)).unwrap().wait().unwrap();
 //! assert_eq!(read.output, Some(1), "read-your-writes at the submitting replica");
 //! assert!(write.decision.latency() > 0);
-//! ```
-//!
-//! ## Submit/await on real threads
-//!
-//! ```
-//! use caesar::{CaesarConfig, CaesarReplica};
-//! use cluster::{Cluster, ClusterConfig};
-//! use consensus_core::session::{ClusterHandle, Op};
-//! use consensus_types::NodeId;
-//! use simnet::LatencyMatrix;
-//!
-//! let config = ClusterConfig::new(LatencyMatrix::ec2_five_sites()).with_latency_scale(0.01);
-//! let caesar = CaesarConfig::new(5);
-//! let threads = Cluster::start(config, move |id| CaesarReplica::new(id, caesar.clone()));
-//! let reply = threads.client(NodeId(0)).submit(Op::put(7, 2)).unwrap().wait().unwrap();
-//! assert_eq!(reply.node, NodeId(0));
-//! threads.shutdown();
 //! ```
 //!
 //! ## Submit/await over TCP
@@ -163,10 +145,9 @@
 //! cargo run --release --example consensus_client -- ADDR      # terminal 2
 //! ```
 //!
-//! The `tests/cross_runtime.rs` integration test pins the three runtimes
+//! The `tests/cross_runtime.rs` integration test pins the two runtimes
 //! together: the same seeded workload, driven through `ClusterHandle`, must
-//! produce identical replies and the identical delivery order on all of
-//! them.
+//! produce identical replies and the identical delivery order on both.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -184,7 +165,6 @@ pub mod observability {}
 pub mod throughput {}
 
 pub use caesar;
-pub use cluster;
 pub use consensus_core;
 pub use consensus_types;
 pub use epaxos;

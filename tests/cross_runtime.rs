@@ -2,8 +2,8 @@
 //! runtime-agnostic session API (`ClusterHandle::client` → `submit` →
 //! `Ticket::wait`), produces identical *replies* and the identical
 //! per-replica delivery order whether CAESAR runs in the discrete-event
-//! simulator (`simnet::SimSession`), on in-process threads
-//! (`cluster::Cluster`), or over real TCP sockets (`net::NetCluster`).
+//! simulator (`simnet::SimSession`) or over real TCP sockets
+//! (`net::NetCluster`).
 //!
 //! The workload is a fully conflicting chain (every command touches the same
 //! key) whose proposers are drawn from a seeded generator, submitted
@@ -11,13 +11,12 @@
 //! followed by the next one once every replica has executed it. Under those
 //! conditions CAESAR must deliver the chain in the identical total order at
 //! every replica of every runtime — and because each `Put` returns the
-//! previous value of the key, the reply stream doubles as a check that all
-//! three runtimes drive the identical state-machine history.
+//! previous value of the key, the reply stream doubles as a check that both
+//! runtimes drive the identical state-machine history.
 
 use std::time::Duration;
 
 use caesar::{CaesarConfig, CaesarReplica};
-use cluster::{Cluster, ClusterConfig};
 use consensus_core::session::{ClusterHandle, Op};
 use consensus_types::{CommandId, NodeId};
 use net::{NetCluster, NetConfig};
@@ -105,24 +104,6 @@ fn simnet_outcome() -> RuntimeOutcome {
     RuntimeOutcome { replies, order: assert_uniform_order("simnet", &orders) }
 }
 
-fn cluster_outcome() -> RuntimeOutcome {
-    let config = ClusterConfig::new(LatencyMatrix::ec2_five_sites()).with_latency_scale(0.005);
-    let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
-    let threads = Cluster::start(config, move |id| CaesarReplica::new(id, caesar.clone()));
-    let replies = drive_chain("cluster", &threads, |count| {
-        for node in NodeId::all(NODES) {
-            let got = threads.wait_for_decisions(node, count, Duration::from_secs(30));
-            assert!(got.len() >= count, "cluster: {node} stuck at {} of {count}", got.len());
-        }
-    });
-    let orders: Vec<Vec<CommandId>> = NodeId::all(NODES)
-        .map(|node| threads.decisions(node).iter().map(|d| d.command).collect())
-        .collect();
-    let order = assert_uniform_order("cluster", &orders);
-    threads.shutdown();
-    RuntimeOutcome { replies, order }
-}
-
 fn net_outcome() -> RuntimeOutcome {
     let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
     let sockets =
@@ -146,7 +127,7 @@ fn net_outcome() -> RuntimeOutcome {
     RuntimeOutcome { replies, order }
 }
 
-// ---- proposer batching: concurrent submissions, all three runtimes ------
+// ---- proposer batching: concurrent submissions, both runtimes -----------
 
 const BATCHED_COMMANDS: usize = 24;
 const BATCH_MAX: usize = 8;
@@ -202,20 +183,6 @@ fn batched_submissions_reply_per_command_and_converge_across_runtimes() {
     let assembled = session.with_sim(|sim| sim.registry().snapshot().counter("batch.assembled"));
     assert!(assembled > 0, "simnet: concurrent submissions must have coalesced");
 
-    // Thread cluster: opportunistic mailbox batching.
-    let config = ClusterConfig::new(LatencyMatrix::ec2_five_sites())
-        .with_latency_scale(0.005)
-        .with_batch(BATCH_MAX);
-    let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
-    let threads = Cluster::start(config, move |id| CaesarReplica::new(id, caesar.clone()));
-    submit_batched("cluster", &threads);
-    wait_applied("cluster", NODES, BATCHED_COMMANDS as u64, |node| threads.applied_through(node));
-    let cluster_fp = threads.state_fingerprint(NodeId(0));
-    for node in NodeId::all(NODES) {
-        assert_eq!(threads.state_fingerprint(node), cluster_fp, "cluster: {node} differs");
-    }
-    threads.shutdown();
-
     // TCP runtime: batching on every replica.
     let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
     let net_config = NetConfig::new(NODES).with_batch(BATCH_MAX);
@@ -230,8 +197,7 @@ fn batched_submissions_reply_per_command_and_converge_across_runtimes() {
     sockets.shutdown();
 
     // The workload is deterministic in its effects (independent writes), so
-    // all fifteen replicas, simulated or real, end on one fingerprint.
-    assert_eq!(sim_fp, cluster_fp, "simnet and thread cluster diverged");
+    // all ten replicas, simulated or real, end on one fingerprint.
     assert_eq!(sim_fp, net_fp, "simnet and TCP runtime diverged");
 }
 
@@ -255,18 +221,13 @@ fn wait_applied(runtime: &str, nodes: usize, target: u64, applied: impl Fn(NodeI
 }
 
 #[test]
-fn caesar_replies_and_delivery_order_are_identical_across_all_three_runtimes() {
+fn caesar_replies_and_delivery_order_are_identical_across_both_runtimes() {
     let from_sim = simnet_outcome();
-    let from_threads = cluster_outcome();
     let from_sockets = net_outcome();
 
     // The session clients of every runtime saw the identical reply stream:
     // same command ids (same allocation order), same read-back values (the
     // serial conflicting chain makes output i the value written by i−1).
-    assert_eq!(
-        from_sim.replies, from_threads.replies,
-        "simnet and the thread cluster replied differently"
-    );
     assert_eq!(
         from_sim.replies, from_sockets.replies,
         "simnet and the TCP runtime replied differently"
@@ -277,10 +238,6 @@ fn caesar_replies_and_delivery_order_are_identical_across_all_three_runtimes() {
     }
 
     // And every replica of every runtime delivered the same order.
-    assert_eq!(
-        from_sim.order, from_threads.order,
-        "simnet and the thread cluster delivered different orders"
-    );
     assert_eq!(
         from_sim.order, from_sockets.order,
         "simnet and the TCP runtime delivered different orders"

@@ -1,26 +1,28 @@
 //! Batched execution convergence, for **every** protocol: a five-replica
-//! thread cluster driven with a conflict-heavy batched workload over a
-//! six-key keyspace. Consensus fixes one total order per conflict class,
-//! so every replica must land on the identical state-machine fingerprint
-//! and the identical applied watermark.
+//! loopback TCP cluster, behind the EC2 latency matrix scaled to 0.5%,
+//! driven with a conflict-heavy batched workload over a six-key keyspace.
+//! Consensus fixes one total order per conflict class, so every replica
+//! must land on the identical state-machine fingerprint and the identical
+//! applied watermark.
 //!
 //! The workload is deliberately hostile to execution: commands are
 //! submitted in concurrent waves (so the proposer batcher coalesces
 //! multi-command units), and with only six live keys most co-batched
 //! commands conflict and must apply in unit order. A mistake in intra-unit
 //! ordering, batch unpacking or watermark accounting shows up as a
-//! fingerprint split between replicas.
+//! fingerprint split between replicas, and a batcher that never coalesced
+//! shows up as a zero `batch.assembled` counter.
 
 use std::time::{Duration, Instant};
 
 use caesar::{CaesarConfig, CaesarReplica};
-use cluster::{Cluster, ClusterConfig};
 use consensus_core::session::{ClusterHandle, Op};
 use consensus_types::NodeId;
 use epaxos::{EpaxosConfig, EpaxosReplica};
 use m2paxos::{M2PaxosConfig, M2PaxosReplica};
 use mencius::{MenciusConfig, MenciusReplica};
 use multipaxos::{MultiPaxosConfig, MultiPaxosReplica};
+use net::{DelayShim, NetCluster, NetConfig};
 use simnet::{LatencyMatrix, Process};
 
 const NODES: usize = 5;
@@ -36,12 +38,15 @@ const KEYS: u64 = 6;
 fn run_batched_matrix<P, F>(label: &str, make: F)
 where
     P: Process + Send + 'static,
-    P::Message: Send + 'static,
+    P::Message: serde::Serialize + serde::Deserialize + Send + 'static,
     F: FnMut(NodeId) -> P,
 {
-    let config =
-        ClusterConfig::new(LatencyMatrix::ec2_five_sites()).with_latency_scale(0.005).with_batch(8);
-    let cluster = Cluster::start(config, make);
+    let config = NetConfig::new(NODES)
+        .with_delay(DelayShim::new(LatencyMatrix::ec2_five_sites(), 0.005))
+        .with_timer_scale(0.005)
+        .with_batch(8);
+    let cluster = NetCluster::start(config, make)
+        .unwrap_or_else(|err| panic!("[{label}] cluster failed to start: {err}"));
 
     // Concurrent conflicting waves: every ticket of a wave is in flight
     // before the first is awaited, so the batcher can coalesce, and the
@@ -81,6 +86,9 @@ where
     for node in NodeId::all(NODES) {
         assert_eq!(cluster.state_fingerprint(node), reference, "[{label}] {node} diverged from p0");
     }
+    // The waves really went through the proposer batcher.
+    let assembled = cluster.replica_registry(AT).snapshot().counter("batch.assembled");
+    assert!(assembled > 0, "[{label}] concurrent waves never coalesced into a batch");
     cluster.shutdown();
 }
 

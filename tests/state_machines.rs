@@ -7,13 +7,12 @@
 //!
 //! (`tests/cross_runtime.rs` pins the same property for the `KvStore`
 //! reference implementation; together they satisfy "both state machines
-//! work through all three runtimes".)
+//! work through both runtimes".)
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use caesar::{CaesarConfig, CaesarReplica};
-use cluster::{Cluster, ClusterConfig};
 use consensus_core::session::{ClusterHandle, Op};
 use consensus_core::state_machine::{EventLog, StateMachineFactory};
 use consensus_types::NodeId;
@@ -49,7 +48,7 @@ fn assert_log_positions<H: ClusterHandle>(runtime: &str, handle: &H, wait_all: i
 }
 
 #[test]
-fn event_log_state_machine_runs_through_all_three_runtimes() {
+fn event_log_state_machine_runs_through_both_runtimes() {
     // --- discrete-event simulator ------------------------------------
     let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
     let session = SimSession::with_state_machines(
@@ -72,28 +71,6 @@ fn event_log_state_machine_runs_through_all_three_runtimes() {
         assert_eq!(session.applied_through(node), COMMANDS);
         assert_eq!(session.state_fingerprint(node), sim_digest, "simnet: {node} diverged");
     }
-
-    // --- threaded in-process cluster ---------------------------------
-    let config = ClusterConfig::new(LatencyMatrix::uniform(NODES, 500.0)).with_latency_scale(0.01);
-    let threads = Cluster::start(config.with_state_machine(event_log_factory()), {
-        let caesar = caesar.clone();
-        move |id| CaesarReplica::new(id, caesar.clone())
-    });
-    assert_log_positions("cluster", &threads, |count| {
-        for node in NodeId::all(NODES) {
-            let got = threads.wait_for_decisions(node, count as usize, Duration::from_secs(30));
-            assert!(got.len() >= count as usize, "cluster: {node} stuck at {}", got.len());
-        }
-    });
-    for node in NodeId::all(NODES) {
-        assert_eq!(threads.applied_through(node), COMMANDS);
-        assert_eq!(
-            threads.state_fingerprint(node),
-            sim_digest,
-            "cluster: {node} diverged from the simulator's log digest"
-        );
-    }
-    threads.shutdown();
 
     // --- TCP sockets --------------------------------------------------
     let sockets =

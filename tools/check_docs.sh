@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Drift check for the prose chapters (docs/RECOVERY.md, docs/DURABILITY.md,
-# docs/OBSERVABILITY.md): dead same-file anchors, dead repo paths, and
-# renamed source symbols a chapter leans on all fail the build. Run from
-# anywhere; operates on the repository root.
+# docs/OBSERVABILITY.md, docs/THROUGHPUT.md): dead same-file anchors, dead
+# repo paths, and renamed source symbols a chapter leans on all fail the
+# build. Run from anywhere; operates on the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,7 +126,6 @@ check_sym "$doc" Command::leaves 'pub fn leaves' crates/types/src/command.rs
 check_sym "$doc" Executor 'pub struct Executor' crates/session/src/exec.rs
 check_sym "$doc" Executor::apply_round 'pub fn apply_round' crates/session/src/exec.rs
 check_sym "$doc" NetConfig::with_batch 'pub fn with_batch' crates/net/src/cluster.rs
-check_sym "$doc" ClusterConfig::with_batch 'pub fn with_batch' crates/cluster/src/lib.rs
 check_sym "$doc" SimConfig::with_batch 'pub fn with_batch' crates/simnet/src/sim.rs
 check_sym "$doc" batch.assembled 'batch\.assembled' crates/net/src/replica.rs
 check_sym "$doc" wal.fsyncs 'wal\.fsyncs' crates/wal/src/store.rs

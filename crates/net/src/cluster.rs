@@ -266,12 +266,13 @@ where
     }
 
     /// Submits a client command to `node` over its TCP client connection,
-    /// without waiting for a reply. Session clients obtained through
-    /// [`ClusterHandle::client`] additionally route the reply back.
+    /// without waiting for the reply (nobody waits on it, so the link's
+    /// reader drops it). Session clients obtained through
+    /// [`ClusterHandle::client`] route the reply back to their ticket.
     pub fn submit(&self, node: NodeId, cmd: Command) -> io::Result<()> {
         let link = &self.links[node.index()];
         let mut writer = link.writer.lock().expect("client writer lock");
-        send_msg(&mut *writer, &WireMessage::<P::Message>::Client { cmd })
+        send_msg(&mut *writer, &WireMessage::<P::Message>::ClientRequest { cmd })
     }
 
     /// Decisions received from `node`'s decision stream so far, in the order
@@ -571,10 +572,6 @@ where
     /// Stops every replica, joins all cluster threads, and fails any session
     /// tickets still waiting for a reply.
     pub fn shutdown(self) {
-        for link in self.links.iter() {
-            let mut writer = link.writer.lock().expect("client writer lock");
-            let _ = send_msg(&mut *writer, &WireMessage::<P::Message>::Shutdown);
-        }
         for replica in self.replicas {
             replica.shutdown();
         }

@@ -592,6 +592,13 @@ where
                         self.append_frame(token, Arc::new(frame));
                     }
                 }
+                WireMessage::Shutdown => {
+                    // Shutdown belongs to the local mailbox (`request_shutdown`
+                    // sends it in-process); a connection that sends one is
+                    // not allowed to stop the replica.
+                    self.teardown(token);
+                    return false;
+                }
                 message => {
                     self.stats.frames_received.inc();
                     if self.mailbox.send(message).is_err() {

@@ -3,15 +3,19 @@
 //!
 //! The paper evaluates CAESAR on five real EC2 sites. This crate closes the
 //! gap between the simulator and such a deployment: it takes **any**
-//! [`simnet::Process`] implementation — CAESAR, EPaxos, Multi-Paxos,
+//! [`consensus_core::Process`] implementation — CAESAR, EPaxos, Multi-Paxos,
 //! Mencius, M²Paxos, unchanged — and runs an N-node cluster over real TCP
 //! sockets with real serialization, real kernel buffers and real
-//! backpressure:
+//! backpressure. Each replica is hosted in a
+//! [`consensus_core::ReplicaDriver`], the sans-IO driver the simulator runs
+//! too: batching, dedup, apply with per-command replies, the write-ahead
+//! log, checkpoints and restore live there, and this crate is the
+//! transport:
 //!
 //! * [`wire`] — checksummed, length-prefixed bincode framing (`u32`
 //!   length, CRC-32, payload) with the [`WireMessage`] envelope (peer
-//!   messages, client commands, timer wakeups) and the [`Event`] decision
-//!   stream;
+//!   messages, client requests, state transfer, stats scrapes) and the
+//!   [`Event`] decision stream;
 //!   decoding is incremental ([`wire::FrameBuffer`]) so nonblocking reads
 //!   never desynchronize a stream;
 //! * [`NetReplica`] — one replica, running **O(1) threads regardless of
@@ -19,17 +23,16 @@
 //!   crate's `Poller`/`Token`/`Interest` layer) owns the listener, every
 //!   peer link, subscriber, and client connection as nonblocking sockets
 //!   with per-connection read/write buffers and interest-driven flushing;
-//!   a *core loop* drives the process through
-//!   [`simnet::Context::for_runtime`] and maps `SimTime` timeouts onto
-//!   wall-clock deadlines;
+//!   a *core loop* feeds the driver from the mailbox, maps its `SimTime`
+//!   timers onto wall-clock deadlines, and turns its actions into frames;
 //! * [`NetCluster`] — an orchestrator that spawns N replicas on loopback
 //!   ports, submits client commands and collects decisions **over the
 //!   wire**, supports clean shutdown plus crash/restart of individual
 //!   replicas, and can emulate the paper's EC2 latency matrix on loopback
 //!   via the [`DelayShim`].
 //!
-//! Each replica executes decided commands on its core loop against a
-//! pluggable [`consensus_core::StateMachine`] (the `kvstore` reference
+//! Each replica's driver executes decided commands on the core loop against
+//! a pluggable [`consensus_core::StateMachine`] (the `kvstore` reference
 //! implementation unless [`NetConfig::with_state_machine`] installs
 //! another), checkpoints
 //! it at least `checkpoint_interval` units apart (and, once the checkpoint

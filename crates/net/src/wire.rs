@@ -9,12 +9,12 @@
 //! over the frames:
 //!
 //! * [`WireMessage`] — everything a replica *receives*: peer protocol
-//!   messages, client command submissions (fire-and-forget
-//!   [`WireMessage::Client`] or reply-expecting
-//!   [`WireMessage::ClientRequest`]), decision-stream subscriptions,
+//!   messages, reply-expecting client submissions
+//!   ([`WireMessage::ClientRequest`]), decision-stream subscriptions,
 //!   snapshot-based state transfer ([`WireMessage::SnapshotRequest`] /
 //!   [`WireMessage::SnapshotChunk`], used by restarted replicas to catch
-//!   up), timer wakeups (local mailbox only) and shutdown requests;
+//!   up), stats scrapes, and shutdown requests (local mailbox only: the
+//!   event loop tears down a connection that sends one);
 //! * [`Event`] — everything a replica *publishes* to client connections:
 //!   batches of executed [`Decision`]s, plus per-command
 //!   [`Event::ClientReply`] / [`Event::ClientAbort`] frames answering
@@ -30,7 +30,8 @@
 
 use std::io::{self, Read, Write};
 
-use consensus_types::{Command, CommandId, Decision, ExecutionCursor, NodeId};
+use consensus_core::driver::SnapshotChunk;
+use consensus_types::{Command, CommandId, Decision, NodeId};
 use telemetry::{RegistrySnapshot, SpanRingSnapshot};
 
 /// Upper bound on a frame payload, guarding against corrupt length prefixes.
@@ -75,12 +76,6 @@ pub enum WireMessage<M> {
         /// The protocol payload.
         msg: M,
     },
-    /// A client command submitted to this replica, making it the command's
-    /// leader. Fire-and-forget: no reply frame is produced.
-    Client {
-        /// The command to order.
-        cmd: Command,
-    },
     /// A client command submitted to this replica **with a reply**: once the
     /// command executes here, the replica answers the submitting connection
     /// with an [`Event::ClientReply`] frame carrying the key-value store
@@ -93,14 +88,6 @@ pub enum WireMessage<M> {
     /// Subscribes the sending connection to this replica's decision stream
     /// ([`Event::Decisions`] frames flow back on the same socket).
     Subscribe,
-    /// A self-scheduled timer wakeup. Never crosses the wire between
-    /// replicas: the core loop wraps due timer-wheel entries in this variant
-    /// (and in-process callers may inject them via the mailbox) so every
-    /// delivery path flows through one envelope type.
-    Timer {
-        /// The timeout payload the process scheduled.
-        msg: M,
-    },
     /// A restarted replica asking a live peer for its state: the peer
     /// answers with a stream of [`WireMessage::SnapshotChunk`] frames
     /// carrying its latest checkpoint plus the decided suffix applied since
@@ -112,47 +99,31 @@ pub enum WireMessage<M> {
     /// One chunk of a state-transfer payload, answering a
     /// [`WireMessage::SnapshotRequest`]. The payload is the donor's
     /// checkpoint — its state-machine snapshot bytes *plus* the
-    /// floor-compacted summary of command ids that snapshot covers *plus*
-    /// the protocol execution cursor captured when the checkpoint was cut,
-    /// serialized together — and chunks `0..total` carry it in order, each
-    /// bounded in size. The **last** chunk additionally carries the suffix
-    /// of commands the donor applied after the snapshot watermark (which
-    /// the receiver replays after restoring) and a fresh execution cursor
-    /// captured at donation time, covering that suffix. The id summary is
-    /// what makes recovery exact: the receiver seeds its dedup knowledge
-    /// (and its protocol's dependency tracking) from it, so redelivered
-    /// crash-time decisions are never double-applied and later commands
-    /// never wait on dependencies the snapshot already covers. The cursor
-    /// is what lets slot-based protocols resume: the receiver's process
-    /// fast-forwards its execution gate past the transferred state instead
-    /// of stalling at its slot gap (see `Process::on_state_transfer`).
-    SnapshotChunk {
-        /// The donating replica.
-        from: NodeId,
-        /// Commands covered by the snapshot (the watermark where the suffix
-        /// starts).
-        applied_through: u64,
-        /// Index of this chunk, `0..total`.
-        seq: u32,
-        /// Total number of chunks in this transfer.
-        total: u32,
-        /// This chunk's slice of the transfer payload.
-        bytes: Vec<u8>,
-        /// On the last chunk only: commands applied after the snapshot, in
-        /// execution order.
-        suffix: Vec<Command>,
-        /// On the last chunk only: the donor's execution cursor as of
-        /// donation time (consistent with snapshot + suffix). Earlier
-        /// chunks carry the empty [`ExecutionCursor::Ids`].
-        cursor: ExecutionCursor,
-    },
+    /// floor-compacted summaries of the command and unit ids that snapshot
+    /// covers *plus* the protocol execution cursor captured when the
+    /// checkpoint was cut, serialized together — and chunks `0..total`
+    /// carry it in order, each bounded in size. The **last** chunk
+    /// additionally carries the suffix of units the donor applied after the
+    /// snapshot watermark (which the receiver replays after restoring) and
+    /// a fresh execution cursor captured at donation time, covering that
+    /// suffix. The id summaries make recovery exact: the receiver seeds its
+    /// dedup knowledge (and its protocol's dependency tracking) from them,
+    /// so redelivered crash-time decisions are never double-applied and
+    /// later commands never wait on dependencies the snapshot already
+    /// covers. The cursor lets slot-based protocols resume: the receiver's
+    /// process fast-forwards its execution gate past the transferred state
+    /// instead of stalling at its slot gap (see
+    /// `Process::on_state_transfer`).
+    SnapshotChunk(SnapshotChunk),
     /// Asks the replica for a snapshot of its telemetry registry (metrics
     /// plus the command-lifecycle span ring). The replica answers the
     /// requesting connection with one [`Event::StatsReply`] frame. Carries
     /// no fields, so any client — including one that does not know the
     /// protocol message type — can scrape any replica.
     StatsRequest,
-    /// Orderly shutdown request.
+    /// Orderly shutdown request. Local mailbox only: `NetReplica` injects
+    /// it in-process, and the event loop tears down any connection that
+    /// sends one.
     Shutdown,
 }
 
@@ -214,15 +185,7 @@ impl<M: serde::Serialize> serde::Serialize for WireMessage<M> {
                 from.serialize(out);
                 msg.serialize(out);
             }
-            WireMessage::Client { cmd } => {
-                serde::write_variant_tag(out, 2);
-                cmd.serialize(out);
-            }
             WireMessage::Subscribe => serde::write_variant_tag(out, 3),
-            WireMessage::Timer { msg } => {
-                serde::write_variant_tag(out, 4);
-                msg.serialize(out);
-            }
             WireMessage::Shutdown => serde::write_variant_tag(out, 5),
             WireMessage::ClientRequest { cmd } => {
                 serde::write_variant_tag(out, 6);
@@ -232,23 +195,9 @@ impl<M: serde::Serialize> serde::Serialize for WireMessage<M> {
                 serde::write_variant_tag(out, 7);
                 from.serialize(out);
             }
-            WireMessage::SnapshotChunk {
-                from,
-                applied_through,
-                seq,
-                total,
-                bytes,
-                suffix,
-                cursor,
-            } => {
+            WireMessage::SnapshotChunk(chunk) => {
                 serde::write_variant_tag(out, 8);
-                from.serialize(out);
-                applied_through.serialize(out);
-                seq.serialize(out);
-                total.serialize(out);
-                bytes.serialize(out);
-                suffix.serialize(out);
-                cursor.serialize(out);
+                chunk.serialize(out);
             }
             WireMessage::StatsRequest => serde::write_variant_tag(out, 9),
         }
@@ -263,21 +212,13 @@ impl<M: serde::Deserialize> serde::Deserialize for WireMessage<M> {
                 from: NodeId::deserialize(input)?,
                 msg: M::deserialize(input)?,
             }),
-            2 => Ok(WireMessage::Client { cmd: Command::deserialize(input)? }),
+            // Tags 2 and 4 are retired, not reused, so a frame from an
+            // older build fails to decode instead of meaning something else.
             3 => Ok(WireMessage::Subscribe),
-            4 => Ok(WireMessage::Timer { msg: M::deserialize(input)? }),
             5 => Ok(WireMessage::Shutdown),
             6 => Ok(WireMessage::ClientRequest { cmd: Command::deserialize(input)? }),
             7 => Ok(WireMessage::SnapshotRequest { from: NodeId::deserialize(input)? }),
-            8 => Ok(WireMessage::SnapshotChunk {
-                from: NodeId::deserialize(input)?,
-                applied_through: u64::deserialize(input)?,
-                seq: u32::deserialize(input)?,
-                total: u32::deserialize(input)?,
-                bytes: Vec::deserialize(input)?,
-                suffix: Vec::deserialize(input)?,
-                cursor: ExecutionCursor::deserialize(input)?,
-            }),
+            8 => Ok(WireMessage::SnapshotChunk(SnapshotChunk::deserialize(input)?)),
             9 => Ok(WireMessage::StatsRequest),
             other => Err(serde::Error::unknown_variant("WireMessage", other)),
         }
@@ -551,7 +492,7 @@ pub fn recv_msg<R: Read, T: serde::Deserialize>(reader: &mut R) -> io::Result<T>
 mod tests {
     use super::*;
     use caesar::CaesarMessage;
-    use consensus_types::{Ballot, CommandId, Timestamp};
+    use consensus_types::{Ballot, CommandId, ExecutionCursor, Timestamp};
     use std::collections::BTreeSet;
 
     fn round_trip<T>(value: &T) -> T
@@ -569,14 +510,12 @@ mod tests {
         let messages: Vec<WireMessage<u64>> = vec![
             WireMessage::Hello { from: NodeId(4) },
             WireMessage::Peer { from: NodeId(2), msg: 99 },
-            WireMessage::Client { cmd: cmd.clone() },
             WireMessage::Subscribe,
-            WireMessage::Timer { msg: 5 },
             WireMessage::Shutdown,
             WireMessage::ClientRequest { cmd: cmd.clone() },
             WireMessage::SnapshotRequest { from: NodeId(2) },
             WireMessage::StatsRequest,
-            WireMessage::SnapshotChunk {
+            WireMessage::SnapshotChunk(SnapshotChunk {
                 from: NodeId(1),
                 applied_through: 640,
                 seq: 2,
@@ -588,10 +527,24 @@ mod tests {
                     next_free: 650,
                     backlog: Vec::new(),
                 },
-            },
+            }),
         ];
         for msg in &messages {
             assert_eq!(&round_trip(msg), msg);
+        }
+    }
+
+    #[test]
+    fn retired_client_and_timer_tags_fail_to_decode() {
+        // Tag 2 (fire-and-forget submission) and tag 4 (timer) are gone: a
+        // peer that sends either poisons its own connection.
+        for tag in [2_u8, 4] {
+            let mut payload = Vec::new();
+            serde::write_variant_tag(&mut payload, u32::from(tag));
+            serde::Serialize::serialize(&7_u64, &mut payload);
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &payload).expect("frame writes");
+            assert!(recv_msg::<_, WireMessage<u64>>(&mut framed.as_slice()).is_err());
         }
     }
 
@@ -732,7 +685,8 @@ mod tests {
     fn frame_reader_survives_timeouts_mid_frame() {
         let mut data = Vec::new();
         let first = WireMessage::Peer { from: NodeId(1), msg: 7u64 };
-        let second = WireMessage::Client { cmd: Command::put(CommandId::new(NodeId(0), 1), 3, 9) };
+        let second =
+            WireMessage::ClientRequest { cmd: Command::put(CommandId::new(NodeId(0), 1), 3, 9) };
         send_msg(&mut data, &first).unwrap();
         send_msg(&mut data, &second).unwrap();
 

@@ -1,8 +1,8 @@
 //! Transport-level integration tests: reconnect to late-starting peers, WAN
 //! emulation through the delay shim, outbox batching, the external
 //! TCP client protocol (`ClientRequest`/`ClientReply` framing, reconnect,
-//! and abort-on-shutdown), frame-corruption teardown, and crash/restart of
-//! a live replica on its original address.
+//! and abort-on-shutdown), frame-corruption and stray-shutdown teardown,
+//! and crash/restart of a live replica on its original address.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
@@ -10,7 +10,9 @@ use std::time::{Duration, Instant};
 
 use caesar::{CaesarConfig, CaesarReplica};
 use consensus_core::session::{ClusterHandle, Op, SessionError};
-use consensus_types::{Command, CommandId, NodeId};
+use consensus_types::{
+    Command, CommandId, Decision, DecisionPath, LatencyBreakdown, NodeId, Timestamp,
+};
 use net::{DelayShim, NetCluster, NetConfig, NetReplica, NetReplicaConfig, ReplicaClient};
 use simnet::{Context, LatencyMatrix, Process};
 
@@ -30,6 +32,27 @@ impl Process for Relay {
     fn on_message(&mut self, from: NodeId, msg: u64, _ctx: &mut Context<'_, u64>) {
         self.seen.lock().expect("seen lock").push((from, msg));
     }
+}
+
+/// A one-node "protocol": every client command executes on submission.
+struct Echo;
+
+impl Process for Echo {
+    type Message = u64;
+
+    fn on_client_command(&mut self, cmd: Command, ctx: &mut Context<'_, u64>) {
+        let decision = Decision {
+            command: cmd.id(),
+            timestamp: Timestamp::ZERO,
+            path: DecisionPath::Ordered,
+            proposed_at: ctx.now(),
+            executed_at: ctx.now(),
+            breakdown: LatencyBreakdown::default(),
+        };
+        ctx.deliver(cmd, decision);
+    }
+
+    fn on_message(&mut self, _: NodeId, _: u64, _: &mut Context<'_, u64>) {}
 }
 
 /// Grabs an OS-assigned loopback port and releases it, so a replica can be
@@ -58,7 +81,9 @@ fn writer_reconnects_to_a_late_starting_peer() {
     // down; the writer thread must retry until the peer appears.
     early
         .mailbox()
-        .send(net::WireMessage::Client { cmd: Command::put(CommandId::new(NodeId(0), 1), 1, 42) })
+        .send(net::WireMessage::ClientRequest {
+            cmd: Command::put(CommandId::new(NodeId(0), 1), 1, 42),
+        })
         .expect("local submit");
     std::thread::sleep(Duration::from_millis(150));
 
@@ -74,7 +99,9 @@ fn writer_reconnects_to_a_late_starting_peer() {
     // queued long enough — both are fine, reconnect just has to deliver one.
     early
         .mailbox()
-        .send(net::WireMessage::Client { cmd: Command::put(CommandId::new(NodeId(0), 2), 1, 43) })
+        .send(net::WireMessage::ClientRequest {
+            cmd: Command::put(CommandId::new(NodeId(0), 2), 1, 43),
+        })
         .expect("local submit");
 
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -225,6 +252,40 @@ fn corrupt_frames_tear_down_the_connection_and_are_counted() {
         assert!(Instant::now() < deadline, "replica never decoded the clean frame");
         std::thread::sleep(Duration::from_millis(5));
     }
+    replica.shutdown();
+}
+
+#[test]
+fn a_shutdown_frame_from_a_connection_does_not_stop_the_replica() {
+    use std::io::{Read as _, Write as _};
+
+    let mut replica =
+        NetReplica::spawn(NetReplicaConfig::loopback(NodeId(0), 1), Echo).expect("replica binds");
+    let addr = replica.local_addr();
+    replica.start(vec![addr]);
+    let client = ReplicaClient::connect(addr, NodeId(0), 0).expect("client connects");
+    assert_eq!(client.put(1, 5).expect("write replies").node, NodeId(0));
+
+    // `Shutdown` belongs to the replica's own mailbox; a raw connection that
+    // sends it gets torn down instead of stopping the replica.
+    let mut sock = std::net::TcpStream::connect(addr).expect("raw socket connects");
+    let frame = net::wire::frame_bytes(&net::WireMessage::<u64>::Shutdown).expect("encodes");
+    sock.write_all(&frame).expect("shutdown frame sent");
+    sock.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout set");
+    let mut buf = [0u8; 16];
+    match sock.read(&mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("replica kept talking after a stray shutdown frame ({n} bytes)"),
+        Err(err) => panic!("expected clean EOF, got {err}"),
+    }
+
+    // The replica still serves the existing client and accepts new ones.
+    let read = client.get(1).expect("the existing client still gets replies");
+    assert_eq!(read.output, Some(5));
+    let fresh = ReplicaClient::connect(addr, NodeId(0), 1_000).expect("new connections accepted");
+    assert_eq!(fresh.get(1).expect("a new client gets replies").output, Some(5));
+    fresh.shutdown();
+    client.shutdown();
     replica.shutdown();
 }
 

@@ -1,4 +1,5 @@
-//! Runtime-agnostic client session layer for the CAESAR reproduction.
+//! Runtime-agnostic core of the CAESAR reproduction: the client session
+//! contract, the replica driver, and the state-machine surface.
 //!
 //! Every figure of the paper measures *client-perceived* behaviour: a client
 //! submits a command at its local replica and waits for it to execute there.
@@ -30,21 +31,33 @@
 //! themselves, which is what snapshot-based state transfer for restarted
 //! replicas is built on.
 //!
-//! Two throughput-path modules sit beside the session contract (see
-//! `docs/THROUGHPUT.md`): [`batch`] folds concurrently queued client
-//! commands into one consensus instance, and [`exec`] applies decided
-//! commands to the replica's state machine on the runtime's core loop.
+//! The *replica* side lives here too, once for both runtimes:
+//! [`process`] defines the [`Process`] trait every protocol implements, and
+//! [`driver`] hosts one process as a sans-IO [`ReplicaDriver`] — events in
+//! (client commands, peer messages, timers, snapshot chunks), actions out
+//! (sends, timers, replies, aborts, decisions, donations). The driver owns
+//! what sits between a protocol and a transport: [`batch`] folds
+//! concurrently queued client commands into one consensus instance
+//! (`docs/THROUGHPUT.md`), dedup against the applied-id summaries, [`exec`]
+//! applies decided commands to the replica's state machine, and the
+//! optional write-ahead log, checkpoints and restore state machine
+//! (`docs/RECOVERY.md`, `docs/DURABILITY.md`). `simnet` drives it with
+//! simulated time and `net` with sockets.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
+pub mod driver;
 pub mod exec;
+pub mod process;
 pub mod session;
 pub mod state_machine;
 
 pub use batch::{BatchConfig, Batcher};
+pub use driver::{Action, DriverConfig, ReplicaDriver, ReplicaState};
 pub use exec::{Executor, PreparedRestore};
+pub use process::{Context, Process};
 pub use session::{
     ClientHandle, ClusterHandle, Drive, Op, ParkDrive, Reply, SessionCore, SessionError,
     SubmitTransport, Ticket, Waiter, DEFAULT_IN_FLIGHT,

@@ -1,5 +1,10 @@
 //! The [`Process`] trait implemented by every replica, and the [`Context`]
-//! handle it uses to interact with the simulated network.
+//! handle it uses to act on its runtime.
+//!
+//! Every protocol crate implements [`Process`] once; the
+//! [`ReplicaDriver`](crate::driver::ReplicaDriver) hosts it and builds the
+//! contexts, for the `simnet` simulator and the `net` TCP runtime alike
+//! (`simnet` re-exports both names).
 
 use std::sync::Arc;
 
@@ -8,11 +13,11 @@ use consensus_types::{
 };
 use telemetry::{Registry, SpanEvent, TracePhase};
 
-/// Actions a process can take while handling an event. The simulator hands a
+/// Actions a process can take while handling an event. The driver hands a
 /// fresh `Context` to every callback and turns the buffered actions into
-/// future events when the callback returns; executed commands pushed through
-/// [`Context::deliver`] are routed to the runtime's decision sinks (client
-/// sessions, decision streams, state machines).
+/// runtime actions when the step ends; executed commands pushed through
+/// [`Context::deliver`] are applied to the replica's state machine and
+/// answer the clients waiting on them.
 #[derive(Debug)]
 pub struct Context<'a, M> {
     pub(crate) me: NodeId,
@@ -21,16 +26,17 @@ pub struct Context<'a, M> {
     pub(crate) outbox: &'a mut Vec<(NodeId, M)>,
     pub(crate) timers: &'a mut Vec<(SimTime, M)>,
     pub(crate) executions: &'a mut Vec<Execution>,
-    /// Scratch buffer for command-lifecycle span events, when the runtime
+    /// Scratch buffer for command-lifecycle span events, when the caller
     /// collects traces. `None` means [`Context::trace`] is a no-op.
     pub(crate) spans: Option<&'a mut Vec<SpanEvent>>,
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Creates a context for an external runtime (the `cluster` and `net`
-    /// runtimes use this). The simulator builds its contexts internally, so
-    /// most users never call it. Tracing is off; chain
-    /// [`Context::with_spans`] to collect span events.
+    /// Creates a context over caller-owned buffers. The
+    /// [`ReplicaDriver`](crate::driver::ReplicaDriver) builds the contexts
+    /// both runtimes use, so this is for protocol unit tests that call a
+    /// process directly. Tracing is off; chain [`Context::with_spans`] to
+    /// collect span events.
     pub fn for_runtime(
         me: NodeId,
         nodes: usize,
@@ -42,9 +48,9 @@ impl<'a, M> Context<'a, M> {
         Self { me, nodes, now, outbox, timers, executions, spans: None }
     }
 
-    /// Routes [`Context::trace`] calls into `spans`. The runtime drains the
-    /// buffer into the replica's [`telemetry::Registry`] span ring after the
-    /// callback returns (normalizing timestamps onto its cluster clock).
+    /// Routes [`Context::trace`] calls into `spans`. The driver drains the
+    /// buffer into the replica's [`telemetry::Registry`] span ring when the
+    /// step ends (normalizing timestamps onto its cluster clock).
     #[must_use]
     pub fn with_spans(mut self, spans: &'a mut Vec<SpanEvent>) -> Self {
         self.spans = Some(spans);
@@ -63,7 +69,8 @@ impl<'a, M> Context<'a, M> {
         self.nodes
     }
 
-    /// Current simulated time in microseconds.
+    /// Current time in microseconds: simulated time under `simnet`, time
+    /// since the cluster epoch under `net`.
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
@@ -130,17 +137,18 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
-/// A replica participating in the simulation.
+/// A replica's protocol logic.
 ///
-/// Protocol crates implement this trait once per protocol; the runtime owns
-/// one value per node and drives it with messages, timers and client
-/// commands. Executed commands are pushed through [`Context::deliver`].
+/// Protocol crates implement this trait once per protocol; a
+/// [`ReplicaDriver`](crate::driver::ReplicaDriver) owns one value per node
+/// and drives it with messages, timers and client commands. Executed
+/// commands are pushed through [`Context::deliver`].
 pub trait Process {
     /// The protocol's message type. Timer payloads use the same type
     /// (timeouts are modelled as messages a replica schedules to itself).
     type Message: Clone + std::fmt::Debug;
 
-    /// Called once before the simulation starts, at time 0.
+    /// Called once before the replica handles its first event.
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
         let _ = ctx;
     }

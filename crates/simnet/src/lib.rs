@@ -10,10 +10,14 @@
 //! * an event-driven [`Simulator`] that delivers messages after the
 //!   configured one-way delay (plus optional jitter), fires self-scheduled
 //!   timeouts, models per-node CPU occupancy so that throughput saturates as
-//!   client load grows, and injects crash faults,
+//!   client load grows, and injects crash faults; each node is a
+//!   `consensus_core::driver::ReplicaDriver`, so simulated replicas batch,
+//!   deduplicate, apply, answer clients and checkpoint with the exact code
+//!   the `net` TCP runtime runs,
 //! * the [`Process`] trait that every protocol crate implements
-//!   (CAESAR, EPaxos, Multi-Paxos, Mencius, M²Paxos); executed commands are
-//!   pushed through [`Context::deliver`],
+//!   (CAESAR, EPaxos, Multi-Paxos, Mencius, M²Paxos), re-exported from
+//!   `consensus_core::process`; executed commands are pushed through
+//!   [`Context::deliver`],
 //! * [`SimSession`], which exposes the simulator through the
 //!   runtime-agnostic submit/await client API of `consensus_core::session`.
 //!
@@ -58,11 +62,10 @@
 #![warn(rust_2018_idioms)]
 
 mod latency;
-mod process;
 mod session;
 mod sim;
 
+pub use consensus_core::process::{Context, Process};
 pub use latency::{GeoSite, LatencyMatrix};
-pub use process::{Context, Process};
 pub use session::SimSession;
 pub use sim::{SimConfig, SimStats, Simulator};

@@ -1,11 +1,12 @@
 //! [`SimSession`]: the simulator behind the runtime-agnostic client session
 //! API.
 //!
-//! A `SimSession` wraps a [`Simulator`], owns one
-//! [`consensus_core::StateMachine`] per replica (the `kvstore` reference
-//! implementation unless a custom factory is supplied), and implements
-//! [`ClusterHandle`] so the same submit/await client code drives the
-//! discrete-event simulator and the TCP runtime.
+//! A `SimSession` wraps a [`Simulator`] and implements [`ClusterHandle`] so
+//! the same submit/await client code drives the discrete-event simulator
+//! and the TCP runtime. Each replica's driver applies what it executes to
+//! its own state machine (built by [`crate::SimConfig::state_machine`]) and
+//! answers the commands submitted to it; the simulator hands those replies
+//! to the session's waiter table.
 //! Submissions are scheduled at the current simulated time;
 //! [`consensus_core::session::Ticket::wait`] advances simulated time until
 //! the command executes at the submitting replica and then returns the
@@ -19,23 +20,13 @@ use consensus_core::session::{
     ClientHandle, ClusterHandle, Drive, Reply, SessionCore, SessionError, SubmitTransport, Waiter,
     DEFAULT_IN_FLIGHT,
 };
-use consensus_core::state_machine::{StateMachine, StateMachineFactory};
 use consensus_types::{Command, CommandId, Decision, NodeId, SimTime};
-use kvstore::KvStore;
 
-use crate::process::Process;
 use crate::sim::{SimStats, Simulator};
-
-struct SimInner<P: Process> {
-    sim: Simulator<P>,
-    machines: Vec<Box<dyn StateMachine>>,
-    /// Replies produced at each command's submitting replica, in routing
-    /// order. Drained by [`SimSession::take_replies`] (closed-loop drivers).
-    replies: Vec<Reply>,
-}
+use crate::Process;
 
 struct Shared<P: Process> {
-    inner: Mutex<SimInner<P>>,
+    sim: Mutex<Simulator<P>>,
     core: Arc<SessionCore>,
 }
 
@@ -58,8 +49,7 @@ where
     P: Process + Send + 'static,
     P::Message: Send,
 {
-    /// Wraps `sim` with the default in-flight bound and the `kvstore`
-    /// reference state machine on every replica.
+    /// Wraps `sim` with the default in-flight bound.
     #[must_use]
     pub fn new(sim: Simulator<P>) -> Self {
         Self::with_capacity(sim, DEFAULT_IN_FLIGHT)
@@ -67,30 +57,10 @@ where
 
     /// Wraps `sim`, allowing at most `capacity` commands in flight.
     #[must_use]
-    pub fn with_capacity(sim: Simulator<P>, capacity: usize) -> Self {
-        Self::with_state_machines(sim, capacity, KvStore::factory())
-    }
-
-    /// Wraps `sim` with a custom per-replica state machine: `factory` is
-    /// called once per node. Replies carry whatever output that machine's
-    /// `apply` produces.
-    #[must_use]
-    pub fn with_state_machines(
-        sim: Simulator<P>,
-        capacity: usize,
-        factory: StateMachineFactory,
-    ) -> Self {
-        let nodes = sim.node_count();
-        Self {
-            shared: Arc::new(Shared {
-                inner: Mutex::new(SimInner {
-                    sim,
-                    machines: (0..nodes).map(|i| factory(NodeId::from_index(i))).collect(),
-                    replies: Vec::new(),
-                }),
-                core: SessionCore::new(capacity),
-            }),
-        }
+    pub fn with_capacity(mut sim: Simulator<P>, capacity: usize) -> Self {
+        let core = SessionCore::new(capacity);
+        sim.session = Some(Arc::clone(&core));
+        Self { shared: Arc::new(Shared { sim: Mutex::new(sim), core }) }
     }
 
     /// The session's waiter table (shared with every [`ClientHandle`]).
@@ -99,50 +69,41 @@ where
         &self.shared.core
     }
 
-    fn lock(&self) -> MutexGuard<'_, SimInner<P>> {
-        self.shared.inner.lock().expect("simulation lock")
+    fn lock(&self) -> MutexGuard<'_, Simulator<P>> {
+        self.shared.sim.lock().expect("simulation lock")
     }
 
-    /// Runs one simulation event and routes any executions it produced;
-    /// returns the event's simulated time, or `None` when the queue drained.
+    /// Runs one simulation event; returns its simulated time, or `None`
+    /// when the queue drained.
     pub fn step(&self) -> Option<SimTime> {
-        let mut inner = self.lock();
-        let at = inner.sim.step();
-        route(&mut inner, &self.shared.core);
-        at
+        self.lock().step()
     }
 
     /// Runs until the event queue is empty (all submitted work finished).
     pub fn run(&self) -> SimStats {
-        let mut inner = self.lock();
-        let stats = inner.sim.run();
-        route(&mut inner, &self.shared.core);
-        stats
+        self.lock().run()
     }
 
     /// Runs until simulated time reaches `until` (or the queue drains).
     pub fn run_until(&self, until: SimTime) -> SimStats {
-        let mut inner = self.lock();
-        let stats = inner.sim.run_until(until);
-        route(&mut inner, &self.shared.core);
-        stats
+        self.lock().run_until(until)
     }
 
     /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.lock().sim.now()
+        self.lock().now()
     }
 
     /// Whether `node` has crashed.
     #[must_use]
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.lock().sim.is_crashed(node)
+        self.lock().is_crashed(node)
     }
 
-    /// Drains the replies routed at submitting replicas since the last call
-    /// (in routing order). Closed-loop drivers use this instead of holding
-    /// one ticket per in-flight command.
+    /// Drains the replies produced at submitting replicas since the last
+    /// call (in production order). Closed-loop drivers use this instead of
+    /// holding one ticket per in-flight command.
     #[must_use]
     pub fn take_replies(&self) -> Vec<Reply> {
         std::mem::take(&mut self.lock().replies)
@@ -151,7 +112,7 @@ where
     /// The decisions executed at `node` so far, in execution order.
     #[must_use]
     pub fn decisions(&self, node: NodeId) -> Vec<Decision> {
-        self.lock().sim.decisions(node).to_vec()
+        self.lock().decisions(node).to_vec()
     }
 
     /// The state-machine digest of `node` (see
@@ -159,48 +120,26 @@ where
     /// the same command history report equal fingerprints.
     #[must_use]
     pub fn state_fingerprint(&self, node: NodeId) -> u64 {
-        self.lock().machines[node.index()].fingerprint()
+        self.lock().driver(node).executor().fingerprint()
     }
 
     /// Number of commands `node`'s state machine has applied so far.
     #[must_use]
     pub fn applied_through(&self, node: NodeId) -> u64 {
-        self.lock().machines[node.index()].applied_through()
+        self.lock().driver(node).executor().applied_through()
     }
 
     /// A serialized snapshot of `node`'s state machine (see
     /// [`consensus_core::StateMachine::snapshot`]).
     #[must_use]
     pub fn state_snapshot(&self, node: NodeId) -> Vec<u8> {
-        self.lock().machines[node.index()].snapshot()
+        self.lock().driver(node).executor().snapshot()
     }
 
     /// Runs `f` against the wrapped simulator (metrics inspection, crash
     /// scheduling, raw command injection).
     pub fn with_sim<R>(&self, f: impl FnOnce(&mut Simulator<P>) -> R) -> R {
-        f(&mut self.lock().sim)
-    }
-}
-
-/// Applies every pending execution to the per-replica stores and completes
-/// session waiters for commands executing at their submitting replica.
-/// Batched units unpack here: the state machine applies each inner command
-/// and every waiter gets its own reply carrying that command's output.
-fn route<P: Process>(inner: &mut SimInner<P>, core: &SessionCore) {
-    for index in 0..inner.sim.node_count() {
-        let node = NodeId::from_index(index);
-        for execution in inner.sim.take_executions(node) {
-            for leaf in execution.command.leaves() {
-                let output = inner.machines[index].apply(leaf);
-                if leaf.id().origin() == node {
-                    let mut decision = execution.decision.clone();
-                    decision.command = leaf.id();
-                    let reply = Reply { command: leaf.id(), node, output, decision };
-                    core.complete(reply.clone());
-                    inner.replies.push(reply);
-                }
-            }
-        }
+        f(&mut self.lock())
     }
 }
 
@@ -214,12 +153,12 @@ where
     P::Message: Send,
 {
     fn submit(&self, node: NodeId, cmd: Command, delay_us: u64) -> Result<(), SessionError> {
-        let mut inner = self.shared.inner.lock().expect("simulation lock");
-        if inner.sim.is_crashed(node) {
+        let mut sim = self.shared.sim.lock().expect("simulation lock");
+        if sim.is_crashed(node) {
             return Err(SessionError::Disconnected(format!("replica {node} has crashed")));
         }
-        let at = inner.sim.now() + delay_us;
-        inner.sim.schedule_command(at, node, cmd);
+        let at = sim.now() + delay_us;
+        sim.schedule_command(at, node, cmd);
         Ok(())
     }
 }
@@ -239,13 +178,13 @@ where
         // keep re-arming) would otherwise spin here holding the simulation
         // lock and make `SessionError::Timeout` unreachable.
         let deadline = std::time::Instant::now() + slice;
-        let mut inner = self.shared.inner.lock().expect("simulation lock");
+        let mut sim = self.shared.sim.lock().expect("simulation lock");
         loop {
             if waiter.is_resolved() {
                 return;
             }
-            if inner.sim.step().is_none() {
-                drop(inner);
+            if sim.step().is_none() {
+                drop(sim);
                 self.shared.core.fail(
                     command,
                     SessionError::Disconnected(
@@ -254,7 +193,6 @@ where
                 );
                 return;
             }
-            route(&mut inner, &self.shared.core);
             if std::time::Instant::now() >= deadline {
                 return;
             }
@@ -268,7 +206,7 @@ where
     P::Message: Send,
 {
     fn nodes(&self) -> usize {
-        self.lock().sim.node_count()
+        self.lock().node_count()
     }
 
     fn client(&self, node: NodeId) -> ClientHandle {
@@ -285,8 +223,8 @@ where
 mod tests {
     use super::*;
     use crate::latency::LatencyMatrix;
-    use crate::process::Context;
     use crate::sim::SimConfig;
+    use crate::Context;
     use consensus_core::session::Op;
     use consensus_types::{DecisionPath, LatencyBreakdown, Timestamp};
 
@@ -375,12 +313,9 @@ mod tests {
     #[test]
     fn custom_state_machines_plug_into_the_session() {
         use consensus_core::state_machine::EventLog;
-        let config = SimConfig::new(LatencyMatrix::uniform(3, 10.0));
-        let session = SimSession::with_state_machines(
-            Simulator::new(config, |_| Echo),
-            DEFAULT_IN_FLIGHT,
-            Arc::new(|_| Box::new(EventLog::new())),
-        );
+        let config = SimConfig::new(LatencyMatrix::uniform(3, 10.0))
+            .with_state_machine(Arc::new(|_| Box::new(EventLog::new())));
+        let session = SimSession::new(Simulator::new(config, |_| Echo));
         let client = session.client(NodeId(0));
         // The event log answers every command with its 1-based log position,
         // not the key-value semantics — proof the runtime is generic.

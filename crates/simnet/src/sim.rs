@@ -1,21 +1,31 @@
 //! The discrete-event simulation engine.
+//!
+//! The simulator owns one [`ReplicaDriver`] per node and an event heap. The
+//! heap carries what the runtime owns — link latency and jitter, FIFO link
+//! clocks, per-node CPU occupancy, crash drops and timers — and the drivers
+//! do everything else: batching, dedup, apply with per-leaf replies, and
+//! checkpoints, the same code the `net` runtime runs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use consensus_core::batch::{BatchConfig, Batcher};
-use consensus_types::{Command, Decision, Execution, NodeId, SimTime};
+use consensus_core::batch::BatchConfig;
+use consensus_core::driver::{Action, DriverConfig, ReplicaDriver};
+use consensus_core::session::{Reply, SessionCore, SessionError};
+use consensus_core::state_machine::StateMachineFactory;
+use consensus_types::{Command, Decision, NodeId, SimTime};
+use kvstore::KvStore;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use telemetry::{Counter, Gauge, Registry, SpanEvent, TracePhase};
+use telemetry::{Counter, Gauge, Registry};
 
 use crate::latency::LatencyMatrix;
-use crate::process::{Context, Process};
+use crate::Process;
 
 /// Configuration of a simulation run.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SimConfig {
     /// One-way latencies between replicas.
     pub latency: LatencyMatrix,
@@ -36,11 +46,29 @@ pub struct SimConfig {
     /// instance per command; the session layer and cross-runtime tests opt
     /// in via [`SimConfig::with_batch`].
     pub batch: BatchConfig,
+    /// Builds each replica's state machine (the `kvstore` reference
+    /// implementation by default); replies carry whatever its `apply`
+    /// produces.
+    pub state_machine: StateMachineFactory,
+}
+
+impl std::fmt::Debug for SimConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimConfig")
+            .field("latency", &self.latency)
+            .field("jitter_us", &self.jitter_us)
+            .field("fifo_links", &self.fifo_links)
+            .field("seed", &self.seed)
+            .field("horizon", &self.horizon)
+            .field("batch", &self.batch)
+            .finish_non_exhaustive()
+    }
 }
 
 impl SimConfig {
     /// Creates a configuration with the given latency matrix, no jitter,
-    /// FIFO links, a fixed default seed and batching disabled.
+    /// FIFO links, a fixed default seed, batching disabled and the
+    /// `kvstore` state machine.
     #[must_use]
     pub fn new(latency: LatencyMatrix) -> Self {
         Self {
@@ -50,6 +78,7 @@ impl SimConfig {
             seed: 0xCAE5A7,
             horizon: None,
             batch: BatchConfig::disabled(),
+            state_machine: KvStore::factory(),
         }
     }
 
@@ -57,6 +86,14 @@ impl SimConfig {
     #[must_use]
     pub fn with_batch(mut self, max_batch: usize) -> Self {
         self.batch = BatchConfig { max_batch: max_batch.max(1) };
+        self
+    }
+
+    /// Installs a custom per-replica state machine: `factory` is called
+    /// once per node.
+    #[must_use]
+    pub fn with_state_machine(mut self, factory: StateMachineFactory) -> Self {
+        self.state_machine = factory;
         self
     }
 
@@ -116,8 +153,6 @@ struct SimCounters {
     commands_injected: Counter,
     messages_dropped: Counter,
     end_time: Gauge,
-    batches_assembled: Counter,
-    batched_commands: Counter,
 }
 
 impl SimCounters {
@@ -128,8 +163,6 @@ impl SimCounters {
             commands_injected: registry.counter("sim.commands_injected"),
             messages_dropped: registry.counter("sim.messages_dropped"),
             end_time: registry.gauge("sim.end_time_us"),
-            batches_assembled: registry.counter("batch.assembled"),
-            batched_commands: registry.counter("batch.commands"),
         }
     }
 
@@ -159,11 +192,11 @@ struct Event<M> {
 
 /// The discrete-event simulator.
 ///
-/// Owns one [`Process`] per replica, an event queue, and the fault state.
-/// See the crate-level documentation for an end-to-end example.
+/// Owns one [`ReplicaDriver`] per replica, an event queue, and the fault
+/// state. See the crate-level documentation for an end-to-end example.
 pub struct Simulator<P: Process> {
     config: SimConfig,
-    nodes: Vec<P>,
+    drivers: Vec<ReplicaDriver<P>>,
     crashed: Vec<bool>,
     /// CPU availability time per node, used to model processing costs.
     busy_until: Vec<SimTime>,
@@ -174,16 +207,19 @@ pub struct Simulator<P: Process> {
     seq: u64,
     now: SimTime,
     rng: ChaCha12Rng,
+    /// Every execution each process delivered, recorded *before* the
+    /// driver's dedup, so exactly-once checks see a duplicate delivery.
     decisions: Vec<Vec<Decision>>,
-    /// Executions (command payload + decision) not yet drained by a session
-    /// router via [`Simulator::take_executions`].
-    executions: Vec<Vec<Execution>>,
+    /// The client session replies complete, once a `SimSession` wraps the
+    /// simulator; without one, replies are dropped.
+    pub(crate) session: Option<Arc<SessionCore>>,
+    /// Replies completed through `session`, for closed-loop drivers.
+    pub(crate) replies: Vec<Reply>,
+    /// Scratch for one step's driver actions.
+    actions: Vec<Action<P::Message>>,
     registry: Arc<Registry>,
     stats: SimCounters,
     started: bool,
-    /// Per-node proposer batchers (only consulted when `config.batch`
-    /// enables batching).
-    batchers: Vec<Batcher>,
 }
 
 impl<P: Process> Simulator<P> {
@@ -194,8 +230,13 @@ impl<P: Process> Simulator<P> {
         let rng = ChaCha12Rng::seed_from_u64(config.seed);
         let registry = Arc::new(Registry::new());
         let stats = SimCounters::register(&registry);
+        let drivers = NodeId::all(n)
+            .map(|id| {
+                ReplicaDriver::new(DriverConfig::new(id, n, config.state_machine.clone()), make(id))
+            })
+            .collect();
         Self {
-            nodes: (0..n).map(|i| make(NodeId::from_index(i))).collect(),
+            drivers,
             crashed: vec![false; n],
             busy_until: vec![0; n],
             link_clock: vec![vec![0; n]; n],
@@ -205,19 +246,20 @@ impl<P: Process> Simulator<P> {
             now: 0,
             rng,
             decisions: vec![Vec::new(); n],
-            executions: vec![Vec::new(); n],
+            session: None,
+            replies: Vec::new(),
+            actions: Vec::new(),
             registry,
             stats,
             config,
             started: false,
-            batchers: (0..n).map(|i| Batcher::new(NodeId::from_index(i))).collect(),
         }
     }
 
     /// Number of replicas.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.drivers.len()
     }
 
     /// Current simulated time.
@@ -229,12 +271,20 @@ impl<P: Process> Simulator<P> {
     /// Immutable access to a replica (for inspecting protocol state in tests).
     #[must_use]
     pub fn process(&self, node: NodeId) -> &P {
-        &self.nodes[node.index()]
+        self.drivers[node.index()].process()
     }
 
     /// Mutable access to a replica.
     pub fn process_mut(&mut self, node: NodeId) -> &mut P {
-        &mut self.nodes[node.index()]
+        self.drivers[node.index()].process_mut()
+    }
+
+    /// The driver hosting `node`'s replica: its executor (state-machine
+    /// watermark, fingerprint, snapshot) and its registry (protocol,
+    /// `batch.*`, `exec.*` metrics and the span ring).
+    #[must_use]
+    pub fn driver(&self, node: NodeId) -> &ReplicaDriver<P> {
+        &self.drivers[node.index()]
     }
 
     /// Whether `node` has crashed.
@@ -250,15 +300,15 @@ impl<P: Process> Simulator<P> {
     }
 
     /// The simulator's own telemetry registry (`sim.*` metrics). Each
-    /// replica's protocol metrics live in its own registry, reachable
-    /// through [`Process::telemetry`] on [`Simulator::process`].
+    /// replica's metrics live in its own registry, reachable through
+    /// [`Simulator::driver`].
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
 
     /// The decisions (executed commands) recorded so far at `node`, in
-    /// execution order.
+    /// execution order, as the process delivered them (before dedup).
     #[must_use]
     pub fn decisions(&self, node: NodeId) -> &[Decision] {
         &self.decisions[node.index()]
@@ -268,14 +318,6 @@ impl<P: Process> Simulator<P> {
     /// for closed-loop client drivers that react to completions.
     pub fn take_decisions(&mut self, node: NodeId) -> Vec<Decision> {
         std::mem::take(&mut self.decisions[node.index()])
-    }
-
-    /// Removes and returns the executions (command payload + decision)
-    /// delivered at `node` since the last call. The session layer drains
-    /// this after every step to apply state-machine effects and answer
-    /// waiting clients; [`Simulator::decisions`] is unaffected.
-    pub fn take_executions(&mut self, node: NodeId) -> Vec<Execution> {
-        std::mem::take(&mut self.executions[node.index()])
     }
 
     /// Schedules a client command to be proposed at `node` at simulated time
@@ -307,60 +349,59 @@ impl<P: Process> Simulator<P> {
             return;
         }
         self.started = true;
-        for i in 0..self.nodes.len() {
-            let node = NodeId::from_index(i);
-            let mut outbox = Vec::new();
-            let mut timers = Vec::new();
-            let mut executions = Vec::new();
-            let mut spans = Vec::new();
-            {
-                let mut ctx = Context {
-                    me: node,
-                    nodes: self.nodes.len(),
-                    now: 0,
-                    outbox: &mut outbox,
-                    timers: &mut timers,
-                    executions: &mut executions,
-                    spans: Some(&mut spans),
-                };
-                self.nodes[i].on_start(&mut ctx);
+        for node in NodeId::all(self.drivers.len()) {
+            self.drivers[node.index()].on_start(0);
+            self.finish_step(node, 0);
+        }
+    }
+
+    /// Records what `node`'s process delivered during the step, then polls
+    /// its driver and routes the actions: sends and timers become events,
+    /// replies and aborts resolve session tickets.
+    fn finish_step(&mut self, node: NodeId, at: SimTime) {
+        let driver = &mut self.drivers[node.index()];
+        let delivered = driver.delivered().iter().map(|execution| execution.decision.clone());
+        self.decisions[node.index()].extend(delivered);
+        let mut actions = std::mem::take(&mut self.actions);
+        actions.extend(driver.poll(at));
+        for action in actions.drain(..) {
+            match action {
+                Action::Send { to, msg } => {
+                    let base = self.config.latency.one_way(node, to);
+                    let jitter = if self.config.jitter_us > 0 {
+                        self.rng.gen_range(0..=self.config.jitter_us)
+                    } else {
+                        0
+                    };
+                    let mut deliver_at = at + base + jitter;
+                    if self.config.fifo_links {
+                        let clock = &mut self.link_clock[node.index()][to.index()];
+                        deliver_at = deliver_at.max(*clock);
+                        *clock = deliver_at;
+                    }
+                    let payload = Payload::Message { from: node, msg };
+                    self.push(deliver_at, Event { node: to, payload });
+                }
+                Action::Timer { delay, msg } => {
+                    self.push(at + delay, Event { node, payload: Payload::Timer { msg } });
+                }
+                Action::Reply(reply) => {
+                    if let Some(session) = &self.session {
+                        session.complete(reply.clone());
+                        self.replies.push(reply);
+                    }
+                }
+                Action::Abort { command, reason } => {
+                    if let Some(session) = &self.session {
+                        session.fail(command, SessionError::Rejected(reason.to_string()));
+                    }
+                }
+                // Decisions are recorded above, before dedup; simulated
+                // replicas never start catching up, so no transfer runs.
+                Action::Decisions(_) | Action::Donate(_) | Action::RequestSnapshots => {}
             }
-            self.commit_spans(node, 0, &mut spans, &executions);
-            self.record_executions(node, executions);
-            self.flush_actions(node, 0, outbox, timers);
         }
-    }
-
-    /// Commits a callback's span buffer — plus one `Execute` span per
-    /// delivered command — into the replica's registry ring, if it has one.
-    /// Simulated time is cluster-global, so no clock normalization applies.
-    fn commit_spans(
-        &self,
-        node: NodeId,
-        at: SimTime,
-        spans: &mut Vec<SpanEvent>,
-        executions: &[Execution],
-    ) {
-        let Some(registry) = self.nodes[node.index()].telemetry() else {
-            spans.clear();
-            return;
-        };
-        for execution in executions {
-            spans.push(SpanEvent {
-                command: execution.command.id(),
-                phase: TracePhase::Execute,
-                at,
-                node,
-            });
-        }
-        registry.record_spans(spans);
-    }
-
-    fn record_executions(&mut self, node: NodeId, executions: Vec<Execution>) {
-        for execution in executions {
-            self.decisions[node.index()].push(execution.decision.clone());
-            self.executions[node.index()].push(execution);
-        }
+        self.actions = actions;
     }
 
     /// Runs a single event; returns the time of the processed event, or
@@ -414,13 +455,25 @@ impl<P: Process> Simulator<P> {
             self.now = at;
             self.stats.end_time.set(at);
 
-            // Proposer batching: a client command picked up while more
-            // client commands are queued for the same replica at the same
-            // instant coalesces them into one consensus unit. Only exact
-            // co-queued commands join (the drain never skips an event), so
-            // simulation determinism is untouched.
-            let payload = match event.payload {
-                Payload::Client { cmd } if self.config.batch.enabled() => {
+            let driver = &mut self.drivers[node_idx];
+            let cost = match event.payload {
+                Payload::Message { from, msg } => {
+                    self.stats.messages_delivered.inc();
+                    let cost = driver.process().processing_cost(&msg);
+                    driver.on_message(from, msg, at);
+                    cost
+                }
+                Payload::Timer { msg } => {
+                    self.stats.timers_fired.inc();
+                    let cost = driver.process().processing_cost(&msg);
+                    driver.on_timer(msg, at);
+                    cost
+                }
+                Payload::Client { cmd } => {
+                    // Proposer batching: client commands queued for the
+                    // same replica at the same instant join this one. Only
+                    // exact co-queued commands join (the drain never skips
+                    // an event), so simulation determinism is untouched.
                     let mut queued = vec![cmd];
                     while queued.len() < self.config.batch.max_batch {
                         let Some(&Reverse((next_at, _, next_idx))) = self.queue.peek() else {
@@ -441,92 +494,18 @@ impl<P: Process> Simulator<P> {
                         else {
                             unreachable!("co-queued client event vanished");
                         };
-                        self.stats.commands_injected.inc();
                         queued.push(cmd);
                     }
-                    if queued.len() > 1 {
-                        self.stats.batches_assembled.inc();
-                        self.stats.batched_commands.add(queued.len() as u64);
-                    }
-                    Payload::Client { cmd: self.batchers[node_idx].coalesce(queued) }
+                    self.stats.commands_injected.add(queued.len() as u64);
+                    let cost = driver.process().client_processing_cost(&queued[0]);
+                    driver.on_client(queued, at);
+                    cost
                 }
-                other => other,
+                Payload::Crash | Payload::Recover => unreachable!("handled above"),
             };
-
-            let cost;
-            let mut outbox = Vec::new();
-            let mut timers = Vec::new();
-            let mut executions = Vec::new();
-            let mut spans = Vec::new();
-            {
-                let mut ctx = Context {
-                    me: event.node,
-                    nodes: self.nodes.len(),
-                    now: at,
-                    outbox: &mut outbox,
-                    timers: &mut timers,
-                    executions: &mut executions,
-                    spans: Some(&mut spans),
-                };
-                match payload {
-                    Payload::Message { from, msg } => {
-                        cost = self.nodes[node_idx].processing_cost(&msg);
-                        self.stats.messages_delivered.inc();
-                        self.nodes[node_idx].on_message(from, msg, &mut ctx);
-                    }
-                    Payload::Timer { msg } => {
-                        cost = self.nodes[node_idx].processing_cost(&msg);
-                        self.stats.timers_fired.inc();
-                        self.nodes[node_idx].on_message(event.node, msg, &mut ctx);
-                    }
-                    Payload::Client { cmd } => {
-                        cost = self.nodes[node_idx].client_processing_cost(&cmd);
-                        self.stats.commands_injected.inc();
-                        for leaf in cmd.leaves() {
-                            ctx.trace(TracePhase::Submit, leaf.id());
-                        }
-                        self.nodes[node_idx].on_client_command(cmd, &mut ctx);
-                    }
-                    Payload::Crash | Payload::Recover => unreachable!("handled above"),
-                }
-            }
             self.busy_until[node_idx] = at + cost;
-            self.commit_spans(event.node, at, &mut spans, &executions);
-            self.record_executions(event.node, executions);
-            self.flush_actions(event.node, at, outbox, timers);
+            self.finish_step(event.node, at);
             return Some(at);
-        }
-    }
-
-    fn flush_actions(
-        &mut self,
-        from: NodeId,
-        at: SimTime,
-        outbox: Vec<(NodeId, P::Message)>,
-        timers: Vec<(SimTime, P::Message)>,
-    ) {
-        for (to, msg) in outbox {
-            if self.crashed[from.index()] {
-                break;
-            }
-            let base = self.config.latency.one_way(from, to);
-            let jitter = if self.config.jitter_us > 0 {
-                self.rng.gen_range(0..=self.config.jitter_us)
-            } else {
-                0
-            };
-            let mut deliver_at = at + base + jitter;
-            if self.config.fifo_links {
-                let clock = &mut self.link_clock[from.index()][to.index()];
-                if deliver_at < *clock {
-                    deliver_at = *clock;
-                }
-                *clock = deliver_at;
-            }
-            self.push(deliver_at, Event { node: to, payload: Payload::Message { from, msg } });
-        }
-        for (delay, msg) in timers {
-            self.push(at + delay, Event { node: from, payload: Payload::Timer { msg } });
         }
     }
 
@@ -556,6 +535,7 @@ impl<P: Process> Simulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Context;
     use consensus_types::{CommandId, DecisionPath, LatencyBreakdown, Timestamp};
 
     /// A protocol where node 0 pings every other node and counts replies; any
@@ -743,7 +723,8 @@ mod tests {
         // One decision for the batch unit, but all three submissions counted.
         assert_eq!(sim.decisions(NodeId(0)).len(), 1);
         assert_eq!(sim.stats().commands_injected, 3);
-        let snapshot = sim.registry().snapshot();
+        // Batching is the replica's: its driver counts into its registry.
+        let snapshot = sim.driver(NodeId(0)).registry().snapshot();
         assert_eq!(snapshot.counter("batch.assembled"), 1);
         assert_eq!(snapshot.counter("batch.commands"), 3);
     }
@@ -757,7 +738,7 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.decisions(NodeId(0)).len(), 3);
-        assert_eq!(sim.registry().snapshot().counter("batch.assembled"), 0);
+        assert_eq!(sim.driver(NodeId(0)).registry().snapshot().counter("batch.assembled"), 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The same factory plugs into the simulator
-//! (`SimSession::with_state_machines`)
+//! (`SimConfig::with_state_machine`)
 //! and into a served cluster (`tcp_cluster -- serve 30 log`); snapshot
 //! catch-up for restarted replicas works for any implementation because it
 //! only uses the trait's `snapshot`/`restore`/`applied_through` surface.

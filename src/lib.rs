@@ -10,9 +10,14 @@
 //!
 //! # Two runtimes, one client API, one pluggable state machine
 //!
-//! Every protocol implements the single [`simnet::Process`] trait once —
-//! pushing executed commands through `Context::deliver` — and then runs,
-//! unchanged, on two substrates:
+//! Every protocol implements the single [`consensus_core::Process`] trait
+//! once (re-exported as `simnet::Process`) — pushing executed commands
+//! through `Context::deliver` — and then runs, unchanged, on two
+//! substrates. Both host each replica in the same sans-IO
+//! [`consensus_core::ReplicaDriver`], which batches client commands,
+//! deduplicates executions, applies them with per-command replies, logs
+//! them to the optional write-ahead log, cuts checkpoints and runs the
+//! restore state machine; a runtime is only the transport around it:
 //!
 //! | runtime | substrate | time | use it for |
 //! |---|---|---|---|
@@ -27,7 +32,7 @@
 //! default factory everywhere); `consensus_core::EventLog` is a second,
 //! entirely different one (replies carry log positions), and any custom
 //! implementation plugs in through `with_state_machine` on the runtime
-//! configs / `SimSession::with_state_machines` (see the
+//! configs (`NetConfig`, `SimConfig`; see the
 //! `custom_state_machine` example and `tests/state_machines.rs`). The
 //! session [`consensus_core::session::Reply`] carries whatever output the
 //! machine's `apply` produced.
@@ -37,7 +42,7 @@
 //! subscribers, client connections — as nonblocking descriptors registered
 //! with an epoll poller (the [`reactor`] crate's `Poller`/`Token`/`Interest`
 //! layer, raw Linux bindings with no external deps), plus one core-loop
-//! thread driving the protocol. Inbound bytes decode incrementally through
+//! thread feeding the replica driver from a mailbox and a timer wheel. Inbound bytes decode incrementally through
 //! per-connection frame buffers; outbound frames queue whole (no staging
 //! copy) and leave in `writev` scatter-gather batches on writability;
 //! WAN-emulation delays and reconnect backoffs are epoll-wait deadlines.

@@ -180,7 +180,12 @@ fn batched_submissions_reply_per_command_and_converge_across_runtimes() {
         );
         assert_eq!(session.state_fingerprint(node), sim_fp, "simnet: {node} fingerprint differs");
     }
-    let assembled = session.with_sim(|sim| sim.registry().snapshot().counter("batch.assembled"));
+    // Batching is each replica's (its driver counts into its registry).
+    let assembled: u64 = session.with_sim(|sim| {
+        NodeId::all(NODES)
+            .map(|node| sim.driver(node).registry().snapshot().counter("batch.assembled"))
+            .sum()
+    });
     assert!(assembled > 0, "simnet: concurrent submissions must have coalesced");
 
     // TCP runtime: batching on every replica.

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use caesar::{CaesarConfig, CaesarReplica};
 use consensus_core::session::{ClusterHandle, Op, SessionError};
+use consensus_core::ReplicaState;
 use consensus_types::{Command, CommandId, NodeId};
 use epaxos::{EpaxosConfig, EpaxosReplica};
 use kvstore::KvStore;
@@ -199,6 +200,11 @@ where
         1,
         "[{label}] the restart completes exactly one snapshot catch-up"
     );
+    assert_eq!(
+        cluster.replica_registry(CRASH).snapshot().gauge("replica.state"),
+        ReplicaState::Serving as u64,
+        "[{label}] the caught-up replica reports itself serving"
+    );
 
     // The acceptance criterion: an external client reads a PRE-crash write
     // through the restarted replica itself.
@@ -322,6 +328,11 @@ fn restarted_replica_serves_pre_crash_reads_via_snapshot_transfer() {
         stats.catch_ups_completed.get(),
         1,
         "the restart must have completed exactly one snapshot catch-up"
+    );
+    assert_eq!(
+        cluster.replica_registry(CRASH).snapshot().gauge("replica.state"),
+        ReplicaState::Serving as u64,
+        "the caught-up replica must report itself serving"
     );
 
     let client = ReplicaClient::connect(crash_addr, CRASH, 500_000).expect("client connects");

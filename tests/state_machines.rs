@@ -51,14 +51,12 @@ fn assert_log_positions<H: ClusterHandle>(runtime: &str, handle: &H, wait_all: i
 fn event_log_state_machine_runs_through_both_runtimes() {
     // --- discrete-event simulator ------------------------------------
     let caesar = CaesarConfig::new(NODES).with_recovery_timeout(None);
-    let session = SimSession::with_state_machines(
-        Simulator::new(SimConfig::new(LatencyMatrix::uniform(NODES, 500.0)), {
-            let caesar = caesar.clone();
-            move |id| CaesarReplica::new(id, caesar.clone())
-        }),
-        consensus_core::DEFAULT_IN_FLIGHT,
-        event_log_factory(),
-    );
+    let sim_config = SimConfig::new(LatencyMatrix::uniform(NODES, 500.0))
+        .with_state_machine(event_log_factory());
+    let session = SimSession::new(Simulator::new(sim_config, {
+        let caesar = caesar.clone();
+        move |id| CaesarReplica::new(id, caesar.clone())
+    }));
     assert_log_positions("simnet", &session, |count| loop {
         let done = NodeId::all(NODES).all(|node| session.decisions(node).len() >= count as usize);
         if done {

@@ -66,14 +66,14 @@ doc=docs/RECOVERY.md
 check_doc "$doc"
 check_sym "$doc" WireMessage::SnapshotRequest 'SnapshotRequest' crates/net/src/wire.rs
 check_sym "$doc" WireMessage::SnapshotChunk 'SnapshotChunk' crates/net/src/wire.rs
-check_sym "$doc" Process::on_state_transfer 'fn on_state_transfer' crates/simnet/src/process.rs
-check_sym "$doc" Process::execution_cursor 'fn execution_cursor' crates/simnet/src/process.rs
+check_sym "$doc" Process::on_state_transfer 'fn on_state_transfer' crates/session/src/process.rs
+check_sym "$doc" Process::execution_cursor 'fn execution_cursor' crates/session/src/process.rs
 check_sym "$doc" StateTransfer 'pub struct StateTransfer' crates/types/src/transfer.rs
 check_sym "$doc" AppliedSummary 'pub struct AppliedSummary' crates/types/src/transfer.rs
 check_sym "$doc" ExecutionCursor 'pub enum ExecutionCursor' crates/types/src/transfer.rs
-check_sym "$doc" checkpoint_interval 'checkpoint_interval' crates/net/src/replica.rs
-check_sym "$doc" checkpoint_due 'fn checkpoint_due' crates/net/src/replica.rs
-check_sym "$doc" catch_up_timeout 'catch_up_timeout' crates/net/src/replica.rs
+check_sym "$doc" checkpoint_interval 'checkpoint_interval' crates/session/src/driver.rs
+check_sym "$doc" checkpoint_due 'fn checkpoint_due' crates/session/src/driver.rs
+check_sym "$doc" catch_up_timeout 'catch_up_timeout' crates/session/src/driver.rs
 check_sym "$doc" restart_replica 'fn restart_replica' crates/net/src/cluster.rs
 check_sym "$doc" wait_for_applied 'fn wait_for_applied' crates/net/src/cluster.rs
 
@@ -106,13 +106,14 @@ check_sym "$doc" SpanRing 'pub struct SpanRing' crates/telemetry/src/span.rs
 check_sym "$doc" TracePhase 'pub enum TracePhase' crates/telemetry/src/span.rs
 check_sym "$doc" trace::assemble 'pub fn assemble' crates/telemetry/src/trace.rs
 check_sym "$doc" trace::phase_breakdown 'pub fn phase_breakdown' crates/telemetry/src/trace.rs
-check_sym "$doc" Process::telemetry 'fn telemetry' crates/simnet/src/process.rs
-check_sym "$doc" Context::trace 'pub fn trace' crates/simnet/src/process.rs
+check_sym "$doc" Process::telemetry 'fn telemetry' crates/session/src/process.rs
+check_sym "$doc" Context::trace 'pub fn trace' crates/session/src/process.rs
 check_sym "$doc" WireMessage::StatsRequest 'StatsRequest' crates/net/src/wire.rs
 check_sym "$doc" Event::StatsReply 'StatsReply' crates/net/src/wire.rs
 check_sym "$doc" scrape_stats 'pub fn scrape_stats' crates/net/src/client.rs
 check_sym "$doc" fetch_stats 'pub fn fetch_stats' crates/net/src/client.rs
-check_sym "$doc" wal.errors 'wal\.errors\.checkpoint' crates/net/src/replica.rs
+check_sym "$doc" wal.errors 'wal\.errors\.checkpoint' crates/session/src/driver.rs
+check_sym "$doc" replica.state 'replica\.state' crates/session/src/driver.rs
 check_sym "$doc" consensus_node--stats '"--stats"' src/bin/consensus_node.rs
 
 doc=docs/THROUGHPUT.md
@@ -127,7 +128,7 @@ check_sym "$doc" Executor 'pub struct Executor' crates/session/src/exec.rs
 check_sym "$doc" Executor::apply_round 'pub fn apply_round' crates/session/src/exec.rs
 check_sym "$doc" NetConfig::with_batch 'pub fn with_batch' crates/net/src/cluster.rs
 check_sym "$doc" SimConfig::with_batch 'pub fn with_batch' crates/simnet/src/sim.rs
-check_sym "$doc" batch.assembled 'batch\.assembled' crates/net/src/replica.rs
+check_sym "$doc" batch.assembled 'batch\.assembled' crates/session/src/driver.rs
 check_sym "$doc" wal.fsyncs 'wal\.fsyncs' crates/wal/src/store.rs
 
 if [ "$fail" -eq 0 ]; then

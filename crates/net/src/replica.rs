@@ -483,6 +483,7 @@ where
             stash: None,
             stats: Arc::clone(&self.stats),
             subscribers: Arc::clone(&self.subscriber_count),
+            actions: Vec::new(),
         };
         self.threads.push(std::thread::spawn(move || core.run()));
     }
@@ -572,6 +573,8 @@ struct CoreLoop<P: Process> {
     /// Live decision-stream subscribers (maintained by the event loop);
     /// when zero, `Event::Decisions` batches are not even serialized.
     subscribers: Arc<AtomicUsize>,
+    /// Scratch for one flush's driver actions, reused across turns.
+    actions: Vec<Action<P::Message>>,
 }
 
 impl<P> CoreLoop<P>
@@ -673,21 +676,37 @@ where
         true
     }
 
-    /// Polls the driver and turns its actions into event-loop commands,
-    /// pushed in one batch — one waker write, and every frame of this step
-    /// lands in the same flush. Peer messages are serialized here (the
-    /// event loop deals in opaque frames); loopback sends and timers go to
-    /// the timer wheel. The driver has already committed the round's WAL
-    /// records when its replies come out.
+    /// Routes the driver's actions to the event loop in two batches, as
+    /// the loop always has: first the peer sends and timers of this turn —
+    /// protocol traffic never waits for this replica's disk — then, once
+    /// `poll` has applied the round and committed it to the WAL, its
+    /// replies and decision batches.
     fn flush(&mut self) {
-        let (id, now_us, now) = (self.id, self.now_us(), Instant::now());
+        let mut actions = std::mem::take(&mut self.actions);
+        actions.extend(self.driver.poll_transmit());
+        self.route(&mut actions);
+        let now = self.now_us();
+        actions.extend(self.driver.poll(now));
+        self.route(&mut actions);
+        self.actions = actions;
+    }
+
+    /// Turns actions into event-loop commands, pushed in one batch — one
+    /// waker write, and every frame lands in the same flush. Peer messages
+    /// are serialized here (the event loop deals in opaque frames);
+    /// loopback sends and timers go to the timer wheel.
+    fn route(&mut self, actions: &mut Vec<Action<P::Message>>) {
+        if actions.is_empty() {
+            return;
+        }
+        let (id, now) = (self.id, Instant::now());
         let delay = &self.delay;
         let deliver_at = |to: NodeId| match delay {
             Some(shim) => now + shim.one_way(id, to),
             None => now,
         };
-        let mut cmds: Vec<IoCmd> = Vec::new();
-        for action in self.driver.poll(now_us) {
+        let mut cmds: Vec<IoCmd> = Vec::with_capacity(actions.len());
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } if to == id => self.timers.push(deliver_at(to), msg),
                 Action::Send { to, msg } => {

@@ -2,7 +2,8 @@
 //!
 //! The driver is sans-IO: it takes events in (`on_start`, `on_client`,
 //! `on_message`, `on_timer`, `on_snapshot_request`, `on_chunk`) and hands
-//! [`Action`]s out of [`ReplicaDriver::poll`]. It never touches a socket, a
+//! [`Action`]s out of [`ReplicaDriver::poll`] (and, for sends that need not
+//! wait on a WAL commit, [`ReplicaDriver::poll_transmit`]). It never touches a socket, a
 //! clock or a thread. The `simnet` simulator drives it with virtual time and
 //! its event heap; the `net` runtime drives it with wall-clock microseconds
 //! from a mailbox, a timer wheel and frame encoding. Everything between the
@@ -485,6 +486,21 @@ impl<P: Process> ReplicaDriver<P> {
         self.step(now, |process, ctx| process.on_message(me, msg, ctx));
     }
 
+    /// Hands out the sends and timers the callbacks buffered, plus any other
+    /// pending action, without applying anything. None of them waits on a
+    /// WAL commit, so a durable runtime calls this before
+    /// [`ReplicaDriver::poll`]: protocol traffic then never waits for this
+    /// replica's disk.
+    pub fn poll_transmit(&mut self) -> std::vec::Drain<'_, Action<P::Message>> {
+        self.queue_transmit();
+        self.actions.drain(..)
+    }
+
+    fn queue_transmit(&mut self) {
+        self.actions.extend(self.outbox.drain(..).map(|(to, msg)| Action::Send { to, msg }));
+        self.actions.extend(self.timers.drain(..).map(|(delay, msg)| Action::Timer { delay, msg }));
+    }
+
     /// Ends a step: gives up an expired restore, applies the executions
     /// delivered since the last poll as one round (or buffers them while
     /// restoring), records spans, and hands out every pending action. WAL
@@ -497,8 +513,7 @@ impl<P: Process> ReplicaDriver<P> {
             self.metrics.state.set(ReplicaState::Serving as u64);
             self.apply_executions(&mut restore.pending, now);
         }
-        self.actions.extend(self.outbox.drain(..).map(|(to, msg)| Action::Send { to, msg }));
-        self.actions.extend(self.timers.drain(..).map(|(delay, msg)| Action::Timer { delay, msg }));
+        self.queue_transmit();
         if !self.executions.is_empty() {
             let mut executions = std::mem::take(&mut self.executions);
             match &mut self.restore {
@@ -1165,6 +1180,10 @@ mod tests {
         let before = fsyncs.get();
         driver.on_client(vec![put(0, 1), put(0, 2)], 1);
         assert_eq!(fsyncs.get(), before, "nothing commits before the poll");
+        // Protocol traffic leaves without waiting for the disk.
+        let early: Vec<Action<Command>> = driver.poll_transmit().collect();
+        assert!(replies(&early).is_empty(), "no reply before the round is applied");
+        assert_eq!(fsyncs.get(), before);
         let drained = driver.poll(1);
         // The replies are only reachable through `poll`'s return value, and
         // by then the round is on disk.
